@@ -202,8 +202,9 @@ void run_size(int nx, const MachineParams& mach, bool verify_inverse,
     const double t_lat = tsem::latency_bound(mach, p);
     std::printf("%6d %12.3e %12.3e %12.3e %12.3e\n", p, t_xxt, t_lu, t_inv,
                 t_lat);
-    tsem::obs::Json& c =
-        g_report.add_case("n" + std::to_string(n) + "/P" + std::to_string(p));
+    char label[48];
+    std::snprintf(label, sizeof(label), "n%d/P%d", n, p);
+    tsem::obs::Json& c = g_report.add_case(label);
     c["tier"] = measured ? "measured" : "extrapolated";
     c["n"] = n;
     c["nodes"] = p;
@@ -221,8 +222,8 @@ void run_size(int nx, const MachineParams& mach, bool verify_inverse,
       c["xxt_level_words"] = words;
     }
     if (measured && p >= 2 && p <= pexec) {
-      tsem::obs::Json& ec = g_report.add_case(
-          "n" + std::to_string(n) + "/P" + std::to_string(p) + "/executed");
+      std::snprintf(label, sizeof(label), "n%d/P%d/executed", n, p);
+      tsem::obs::Json& ec = g_report.add_case(label);
       run_executed_xxt(*xxt, n, p, b, s1, ec);
     }
   }

@@ -104,7 +104,6 @@ struct Kernel {
 
 int main(int argc, char** argv) {
   const Config cfg = parse_args(argc, argv);
-  tsem::mxm_autotune_init();  // tune before timing so setup cost is excluded
 
   auto spec = tsem::box_spec_3d(tsem::linspace(0, 1, cfg.nx),
                                 tsem::linspace(0, 1, cfg.nx),
@@ -168,9 +167,10 @@ int main(int argc, char** argv) {
   report.meta()["omp"] = false;
   report.meta()["omp_max_threads"] = 1;
 #endif
-  // SIMD/autotuner provenance: the element loops here all bottom out in
-  // the dispatched mxm kernels, so record which variants the tuner
-  // installed for this run's operator shapes.
+  // SIMD/dispatch provenance: the element loops here all bottom out in
+  // the dispatched mxm kernels, so record which kernels mxm()/mxm_bt()
+  // run at this order (every order's choice is in the mxm_dispatch
+  // event).
   report.meta()["simd_compiled"] = tsem::simd_compiled();
   report.meta()["simd_available"] = tsem::simd_available();
   report.meta()["isa"] = tsem::simd_isa_name();
@@ -179,7 +179,8 @@ int main(int argc, char** argv) {
       tsem::precond_precision_name(tsem::precond_precision_from_env());
   report.meta()["mxm_small"] = tsem::mxm_selected_name(n1, n1, n1);
   report.meta()["mxm_long"] = tsem::mxm_selected_name(n1, n1, n1 * n1);
-  report.meta()["mxm_bt"] = tsem::mxm_bt_selected_name(n1);
+  report.meta()["mxm_bt"] = tsem::mxm_bt_selected_name();
+  tsem::mxm_emit_dispatch_event();
   {
     tsem::obs::Json tj = tsem::obs::Json::array();
     for (int t : cfg.threads) tj.push_back(t);

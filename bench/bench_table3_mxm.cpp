@@ -135,28 +135,25 @@ int main(int argc, char** argv) {
     std::string name;
     KernelFn fn;
   };
-  // Build the dispatch table up front so the "tuned" rows and the meta
-  // selection digest reflect the table every library call uses.
-  tsem::mxm_autotune_init();
+  // Rows beyond the Table 3 five: the AVX2 kernel whenever compiled in
+  // AND runnable here, and mxm() itself — the static shape dispatch every
+  // library call goes through.
+  const auto extra_kernels = [] {
+    std::vector<Named> k;
+    if (tsem::simd_available())
+      k.push_back({"avx2_b4x8", tsem::mxm_avx2_b4x8});
+    k.push_back({"dispatch", tsem::mxm});
+    return k;
+  };
   std::string kernel_list = "lkm csm ghm f3 f2";
+  for (const auto& k : extra_kernels()) kernel_list += " " + k.name;
   for (const auto& s : kShapes) {
     std::vector<Named> kernels = {{"lkm", tsem::mxm_generic},
                                   {"csm", tsem::mxm_blocked},
                                   {"ghm", fixed_for(s)},
                                   {"f3", tsem::mxm_f3},
                                   {"f2", tsem::mxm_f2}};
-    // SIMD variants ride along whenever compiled in AND runnable here.
-    for (const auto& v : tsem::mxm_registry())
-      if (v.simd) kernels.push_back({v.name, v.fn});
-    // The autotuned dispatch entry the library actually calls through.
-    kernels.push_back({"tuned", +[](const double* a, int m, const double* b,
-                                    int k, double* c, int n) {
-                         tsem::mxm(a, m, b, k, c, n);
-                       }});
-    if (&s == kShapes) {  // extend the meta list once
-      for (std::size_t i = 5; i < kernels.size(); ++i)
-        kernel_list += " " + kernels[i].name;
-    }
+    for (auto& k : extra_kernels()) kernels.push_back(std::move(k));
     for (const auto& k : kernels) {
       char name[64];
       std::snprintf(name, sizeof(name), "mxm/%dx%dx%d/%s", s.n1, s.n2, s.n3,
@@ -165,21 +162,15 @@ int main(int argc, char** argv) {
           name, [s, fn = k.fn](benchmark::State& st) { run_kernel(st, s, fn); });
     }
   }
-  // Fixed-order tier rows (ISSUE acceptance): the registry "fixed"
-  // variant against the stock generic kernel and the autotuned dispatch
-  // on the cube shapes of orders N = 8..16 (the tensor middle stages),
-  // single-threaded like every other row here.  SIMD variants ride along
-  // as above so avx512-vs-fixed is directly readable off one report.
+  // Fixed-order tier rows: the "fixed" kernel against the stock generic
+  // kernel, the AVX2 kernel and the dispatch on the cube shapes of orders
+  // N = 8..16 (the tensor middle stages), single-threaded like every
+  // other row here.
   for (int d = 8; d <= 16; ++d) {
     const Shape s{d, d, d};
     std::vector<Named> kernels = {{"fixed", tsem::mxm_fixed_dispatch},
                                   {"lkm", tsem::mxm_generic}};
-    for (const auto& v : tsem::mxm_registry())
-      if (v.simd) kernels.push_back({v.name, v.fn});
-    kernels.push_back({"tuned", +[](const double* a, int m, const double* b,
-                                    int k, double* c, int n) {
-                         tsem::mxm(a, m, b, k, c, n);
-                       }});
+    for (auto& k : extra_kernels()) kernels.push_back(std::move(k));
     for (const auto& k : kernels) {
       char name[64];
       std::snprintf(name, sizeof(name), "mxm_order/%dx%dx%d/%s", d, d, d,
@@ -192,9 +183,9 @@ int main(int argc, char** argv) {
   report.meta()["table"] = "Table 3";
   report.meta()["kernels"] = kernel_list;
   report.meta()["obs_enabled"] = tsem::obs::enabled();
-  // SIMD/autotuner provenance: which ISA the binary saw, whether the
-  // AVX2 family was compiled in, and which variant the tuner installed
-  // for each Table 3 calling configuration.
+  // SIMD/dispatch provenance: which ISA the binary saw, whether the AVX2
+  // family was compiled in, and which kernel mxm() dispatches to for each
+  // Table 3 calling configuration.
   report.meta()["simd_compiled"] = tsem::simd_compiled();
   report.meta()["simd_available"] = tsem::simd_available();
   report.meta()["isa"] = tsem::simd_isa_name();
@@ -202,6 +193,7 @@ int main(int argc, char** argv) {
   // what this binary was compiled with — reports from different hosts
   // stay comparable.
   report.meta()["isa_runtime"] = tsem::mxm_isa_runtime_name();
+  // The AVX-512 tier serves only the FP32 preconditioner kernels.
   report.meta()["avx512_compiled"] = tsem::avx512_compiled();
   report.meta()["avx512_available"] = tsem::avx512_available();
   for (const auto& s : kShapes) {
@@ -210,6 +202,7 @@ int main(int argc, char** argv) {
     report.meta()["selected"][label] =
         tsem::mxm_selected_name(s.n1, s.n2, s.n3);
   }
+  tsem::mxm_emit_dispatch_event();
   // The mxm kernels themselves are serial, but recording the thread
   // budget keeps reports self-describing alongside the threaded benches.
 #ifdef _OPENMP

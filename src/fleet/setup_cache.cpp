@@ -91,8 +91,8 @@ std::size_t estimate_entry_bytes(const JobSpec& job) {
   // Space connectivity: dense ids for every local node + group tables
   // covering the interface nodes.
   total += nl * 16 + 1024;
-  // mxm table + bundle framing.
-  total += 8192;
+  // Bundle framing.
+  total += 256;
   return total + total / 2 + 65536;
 }
 

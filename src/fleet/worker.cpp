@@ -17,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "resilience/checkpoint.hpp"
 #include "solver/setup_bundle.hpp"
-#include "tensor/mxm.hpp"
 
 namespace tsem::fleet {
 namespace {
@@ -129,13 +128,6 @@ void worker_main(const JobSpec& job, const std::string& workdir,
   // so the result's counters are this attempt's own.
   obs::MetricsRegistry::instance().reset();
 
-  // The fleet's recovery contract is BIT-identity: a retried or resumed
-  // attempt must reproduce exactly what an uninterrupted run computes.
-  // The one nondeterministic input across worker processes is the timed
-  // mxm autotuner, so pin it to the fixed shape heuristic (a user who
-  // prefers timed tuning can export TSEM_MXM_DETERMINISTIC=0).
-  ::setenv("TSEM_MXM_DETERMINISTIC", "1", /*overwrite=*/0);
-
   ProcessFault fault = job.fault;
   if (fault.kind == ProcessFault::Kind::None)
     fault = process_fault_from_env();
@@ -231,12 +223,6 @@ void worker_main(const JobSpec& job, const std::string& workdir,
 
   mark("lookup");
 
-  // Install the shared kernel table BEFORE the first mxm call so every
-  // worker of a key computes with identical kernel choices (belt and
-  // suspenders on top of TSEM_MXM_DETERMINISTIC).
-  if (importing && !imported.mxm.empty())
-    mxm_autotune_import_table(imported.mxm);
-
   Space space = [&] {
     if (importing && !imported.mesh.empty()) {
       Mesh m;
@@ -276,7 +262,6 @@ void worker_main(const JobSpec& job, const std::string& workdir,
       space.gs().serialize(w);
       recorded.gs = w.take();
     }
-    recorded.mxm = mxm_autotune_export_table();
     const std::vector<std::uint8_t> blob = encode_setup_bundle(recorded);
     const bool torn = setup_fault_fires(
         fault, ProcessFault::Kind::TornPublish, attempt);

@@ -44,27 +44,31 @@ class ByteWriter {
   template <class T>
   void put(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    buf_.insert(buf_.end(), p, p + sizeof(T));
+    append(&v, sizeof(T));
   }
-  void put_vec(const std::vector<double>& v) {
-    put<std::uint64_t>(v.size());
-    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-    buf_.insert(buf_.end(), p, p + v.size() * sizeof(double));
-  }
+  void put_vec(const std::vector<double>& v) { put_pod_vec(v); }
   /// Length-prefixed vector of any trivially-copyable element (the setup
   /// cache serializes int32/int64/float payloads beside the doubles).
   template <class T>
   void put_pod_vec(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     put<std::uint64_t>(v.size());
-    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-    buf_.insert(buf_.end(), p, p + v.size() * sizeof(T));
+    append(v.data(), v.size() * sizeof(T));
   }
   void put_bytes(const std::vector<std::uint8_t>& v) { put_pod_vec(v); }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  // resize + memcpy rather than a byte-range insert: gcc 12 misreads the
+  // insert into a still-empty buffer as an overflow (-Wstringop-overflow,
+  // -Warray-bounds).
+  void append(const void* p, std::size_t n) {
+    if (n == 0) return;
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 

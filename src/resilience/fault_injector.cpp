@@ -80,9 +80,13 @@ bool parse_process_fault(std::string_view spec, ProcessFault* out,
 
 std::string format_process_fault(const ProcessFault& f) {
   if (f.kind == ProcessFault::Kind::None) return "none";
-  std::string s = std::string(to_string(f.kind)) + "@" +
-                  std::to_string(f.step);
-  if (f.attempt != 1) s += "#" + std::to_string(f.attempt);
+  std::string s = to_string(f.kind);
+  s += '@';
+  s += std::to_string(f.step);
+  if (f.attempt != 1) {
+    s += '#';
+    s += std::to_string(f.attempt);
+  }
   return s;
 }
 

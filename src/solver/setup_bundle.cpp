@@ -7,7 +7,8 @@ namespace {
 
 constexpr std::uint32_t kBundleMagic = 0x42555354u;  // "TSUB"
 // v2: appended the GhostExchange and Space-connectivity sections.
-constexpr std::uint32_t kBundleVersion = 2;
+// v3: dropped the mxm kernel-table section (dispatch is static).
+constexpr std::uint32_t kBundleVersion = 3;
 
 }  // namespace
 
@@ -105,7 +106,6 @@ std::vector<std::uint8_t> encode_setup_bundle(const SetupBundle& b) {
   w.put_bytes(b.fdm);
   w.put_bytes(b.xxt);
   w.put_bytes(b.dealias);
-  w.put_bytes(b.mxm);
   w.put_bytes(b.ghost);
   w.put_bytes(b.gs);
   return w.take();
@@ -125,8 +125,8 @@ bool decode_setup_bundle(const std::uint8_t* data, std::size_t n,
     return false;
   SetupBundle b;
   if (!r.get_bytes(&b.mesh) || !r.get_bytes(&b.fdm) || !r.get_bytes(&b.xxt) ||
-      !r.get_bytes(&b.dealias) || !r.get_bytes(&b.mxm) ||
-      !r.get_bytes(&b.ghost) || !r.get_bytes(&b.gs) || !r.exhausted())
+      !r.get_bytes(&b.dealias) || !r.get_bytes(&b.ghost) ||
+      !r.get_bytes(&b.gs) || !r.exhausted())
     return false;
   *out = std::move(b);
   return true;

@@ -5,10 +5,10 @@
 // functions of (mesh spec, order, precision policy, ISA): the mesh
 // geometry itself (GLL coordinates, C0 numbering, geometric factors),
 // the Schwarz FDM generalized eigendecompositions, the factored XXT
-// coarse tree, the dealiasing interpolation matrices, and the mxm
-// autotuner's selected-kernel table.  The SetupBundle collects each as an
-// independent byte section so the first worker for a shape can RECORD
-// them while building, and later workers can REPLAY them and skip
+// coarse tree, the dealiasing interpolation matrices, the Schwarz ghost
+// exchange plan and the C0 connectivity.  The SetupBundle collects each
+// as an independent byte section so the first worker for a shape can
+// RECORD them while building, and later workers can REPLAY them and skip
 // straight to time-stepping — with bitwise-identical solver state, since
 // every section round-trips its FP64 payload exactly.
 //
@@ -32,13 +32,12 @@ struct SetupBundle {
   std::vector<std::uint8_t> fdm;      ///< unique FdmLocals + fdm_of map
   std::vector<std::uint8_t> xxt;      ///< XxtSolver::serialize payload
   std::vector<std::uint8_t> dealias;  ///< DealiasedConvection payload
-  std::vector<std::uint8_t> mxm;      ///< mxm_autotune_export_table blob
   std::vector<std::uint8_t> ghost;    ///< GhostExchange::serialize payload
   std::vector<std::uint8_t> gs;       ///< Space connectivity (GatherScatter)
 
   [[nodiscard]] bool empty() const {
     return mesh.empty() && fdm.empty() && xxt.empty() && dealias.empty() &&
-           mxm.empty() && ghost.empty() && gs.empty();
+           ghost.empty() && gs.empty();
   }
 };
 
@@ -60,7 +59,7 @@ bool deserialize_schwarz_fdm(const std::vector<std::uint8_t>& in, int nelem,
                              std::vector<FdmLocal>* fdm,
                              std::vector<int>* fdm_of);
 
-/// Frame the five sections into one payload (what the setup cache
+/// Frame the six sections into one payload (what the setup cache
 /// publishes under its CRC) and back.  decode returns false on any
 /// framing defect; empty sections are preserved as empty.  The raw-span
 /// overload decodes straight out of the shared cache arena — the one

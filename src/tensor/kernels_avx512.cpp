@@ -31,118 +31,10 @@ bool avx512_available() {
 
 namespace {
 
-// One ROWS x (8*NV) register tile of C.  a points at row i0 of A (stride
-// k), bj at column j0 of B (stride n), cij at C[i0][j0] (stride n).  The
-// contraction runs in the same l order as the scalar kernels; each entry
-// sees one FMA per term.  ROWS*NV <= 16 keeps the accumulators plus the
-// broadcast and B vectors inside the 32-register file.
-template <int ROWS, int NV>
-inline void tile(const double* a, const double* bj, double* cij, int k,
-                 int n) {
-  __m512d acc[ROWS][NV];
-  for (int r = 0; r < ROWS; ++r)
-    for (int v = 0; v < NV; ++v) acc[r][v] = _mm512_setzero_pd();
-  for (int l = 0; l < k; ++l) {
-    __m512d bv[NV];
-    for (int v = 0; v < NV; ++v)
-      bv[v] = _mm512_loadu_pd(bj + static_cast<std::ptrdiff_t>(l) * n + 8 * v);
-    for (int r = 0; r < ROWS; ++r) {
-      const __m512d av =
-          _mm512_set1_pd(a[static_cast<std::ptrdiff_t>(r) * k + l]);
-      for (int v = 0; v < NV; ++v)
-        acc[r][v] = _mm512_fmadd_pd(av, bv[v], acc[r][v]);
-    }
-  }
-  for (int r = 0; r < ROWS; ++r)
-    for (int v = 0; v < NV; ++v)
-      _mm512_storeu_pd(cij + static_cast<std::ptrdiff_t>(r) * n + 8 * v,
-                       acc[r][v]);
-}
-
-// Masked column tail: one partial zmm covering the last n % 8 columns,
-// same l-ascending FMA accumulation as the full tiles.
-template <int ROWS>
-inline void tile_masked(const double* a, const double* bj, double* cij, int k,
-                        int n, int cols) {
-  const __mmask8 mask = static_cast<__mmask8>((1u << cols) - 1u);
-  __m512d acc[ROWS];
-  for (int r = 0; r < ROWS; ++r) acc[r] = _mm512_setzero_pd();
-  for (int l = 0; l < k; ++l) {
-    const __m512d bv = _mm512_maskz_loadu_pd(
-        mask, bj + static_cast<std::ptrdiff_t>(l) * n);
-    for (int r = 0; r < ROWS; ++r) {
-      const __m512d av =
-          _mm512_set1_pd(a[static_cast<std::ptrdiff_t>(r) * k + l]);
-      acc[r] = _mm512_fmadd_pd(av, bv, acc[r]);
-    }
-  }
-  for (int r = 0; r < ROWS; ++r)
-    _mm512_mask_storeu_pd(cij + static_cast<std::ptrdiff_t>(r) * n, mask,
-                          acc[r]);
-}
-
-template <int ROWS, int NV>
-void mxm_avx512_impl(const double* a, int m, const double* b, int k,
-                     double* c, int n) {
-  constexpr int JB = 8 * NV;
-  int i = 0;
-  for (; i + ROWS <= m; i += ROWS) {
-    const double* ai = a + static_cast<std::ptrdiff_t>(i) * k;
-    double* ci = c + static_cast<std::ptrdiff_t>(i) * n;
-    int j = 0;
-    for (; j + JB <= n; j += JB) tile<ROWS, NV>(ai, b + j, ci + j, k, n);
-    for (; j + 8 <= n; j += 8) tile<ROWS, 1>(ai, b + j, ci + j, k, n);
-    if (j < n) tile_masked<ROWS>(ai, b + j, ci + j, k, n, n - j);
-  }
-  for (; i < m; ++i) {
-    const double* ai = a + static_cast<std::ptrdiff_t>(i) * k;
-    double* ci = c + static_cast<std::ptrdiff_t>(i) * n;
-    int j = 0;
-    for (; j + 8 <= n; j += 8) tile<1, 1>(ai, b + j, ci + j, k, n);
-    if (j < n) tile_masked<1>(ai, b + j, ci + j, k, n, n - j);
-  }
-}
-
-}  // namespace
-
-void mxm_avx512_b8x8(const double* a, int m, const double* b, int k,
-                     double* c, int n) {
-  mxm_avx512_impl<8, 1>(a, m, b, k, c, n);
-}
-
-void mxm_avx512_b4x16(const double* a, int m, const double* b, int k,
-                      double* c, int n) {
-  mxm_avx512_impl<4, 2>(a, m, b, k, c, n);
-}
-
-void mxm_bt_avx512(const double* a, int m, const double* b, int k, double* c,
-                   int n) {
-  // C[i][j] = sum_l A[i][l] * B[j][l], B stored (n x k): both operands are
-  // contraction-contiguous, so each dot runs 8-lane partial sums with a
-  // masked final chunk, reduced left to right.
-  for (int i = 0; i < m; ++i) {
-    const double* ai = a + static_cast<std::ptrdiff_t>(i) * k;
-    double* ci = c + static_cast<std::ptrdiff_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const double* bj = b + static_cast<std::ptrdiff_t>(j) * k;
-      __m512d s = _mm512_setzero_pd();
-      int l = 0;
-      for (; l + 8 <= k; l += 8)
-        s = _mm512_fmadd_pd(_mm512_loadu_pd(ai + l), _mm512_loadu_pd(bj + l),
-                            s);
-      if (l < k) {
-        const __mmask8 mask = static_cast<__mmask8>((1u << (k - l)) - 1u);
-        s = _mm512_fmadd_pd(_mm512_maskz_loadu_pd(mask, ai + l),
-                            _mm512_maskz_loadu_pd(mask, bj + l), s);
-      }
-      ci[j] = _mm512_reduce_add_pd(s);
-    }
-  }
-}
-
-namespace {
-
-// ROWS x (16*NV) float tile — the double tile<> at twice the lane count.
+// One ROWS x (16*NV) register tile of C.  a points at row i0 of A
+// (stride k), bj at column j0 of B (stride n), cij at C[i0][j0] (stride
+// n).  The contraction runs in the same l order as the scalar kernels;
+// each entry sees one FMA per term.
 template <int ROWS, int NV>
 inline void stile(const float* a, const float* bj, float* cij, int k,
                   int n) {
@@ -282,7 +174,7 @@ void smxm_avx512(const float* a, int m, const float* b, int k, float* c,
   }
 }
 
-void smxm_bt_avx512(const float* a, int m, const float* b, int k, float* c,
+void smxm_avx512_bt(const float* a, int m, const float* b, int k, float* c,
                     int n) {
   for (int i = 0; i < m; ++i) {
     const float* ai = a + static_cast<std::ptrdiff_t>(i) * k;
@@ -305,23 +197,14 @@ void smxm_bt_avx512(const float* a, int m, const float* b, int k, float* c,
   }
 }
 
-#else  // !TSEM_AVX512_IMPL — declared so the registry code links; never
-       // registered (avx512_available() is false), so never reachable.
+#else  // !TSEM_AVX512_IMPL — defined so the FP32 dispatch links; never
+       // selected (avx512_available() is false), so never reachable.
 
-void mxm_avx512_b8x8(const double*, int, const double*, int, double*, int) {
-  TSEM_REQUIRE(!"mxm_avx512_b8x8 called without TSEM_SIMD_AVX512 support");
-}
-void mxm_avx512_b4x16(const double*, int, const double*, int, double*, int) {
-  TSEM_REQUIRE(!"mxm_avx512_b4x16 called without TSEM_SIMD_AVX512 support");
-}
-void mxm_bt_avx512(const double*, int, const double*, int, double*, int) {
-  TSEM_REQUIRE(!"mxm_bt_avx512 called without TSEM_SIMD_AVX512 support");
-}
 void smxm_avx512(const float*, int, const float*, int, float*, int) {
   TSEM_REQUIRE(!"smxm_avx512 called without TSEM_SIMD_AVX512 support");
 }
-void smxm_bt_avx512(const float*, int, const float*, int, float*, int) {
-  TSEM_REQUIRE(!"smxm_bt_avx512 called without TSEM_SIMD_AVX512 support");
+void smxm_avx512_bt(const float*, int, const float*, int, float*, int) {
+  TSEM_REQUIRE(!"smxm_avx512_bt called without TSEM_SIMD_AVX512 support");
 }
 
 #endif

@@ -1,59 +1,41 @@
-// AVX-512F mxm kernel family — the third ISA tier above the scalar and
-// AVX2/FMA families (kernels_simd.hpp).  512-bit registers hold 8 doubles,
-// so one zmm covers a full row of C at the discretization's common orders
-// (n = 8..16 needs one or two vectors), and the 32-register file lets an
-// 8x8 or 8x16 C tile live entirely in registers across the contraction.
+// AVX-512F single-precision kernels for the FP32 Schwarz/FDM
+// preconditioner path (DESIGN.md "Precision policy") — the tier above the
+// AVX2/FMA float kernels (kernels_simd.hpp).  One zmm holds 16 floats, so
+// a full C row of the Schwarz subdomain solves (m <= 19 at order 16,
+// overlap 1) needs at most one vector plus a masked tail.  The FP64
+// operator path has no AVX-512 kernels: its static dispatch (mxm.hpp)
+// tops out at the AVX2 family.
 //
 // Compile gating: built only when the TSEM_SIMD_AVX512 CMake option is ON
 // and the toolchain accepts -mavx512f (the build then defines
 // TSEM_SIMD_AVX512_ENABLED and compiles this sole translation unit with
 // that flag).  Runtime gating: avx512_available() additionally requires
 // the executing CPU to report AVX512F, so a TSEM_SIMD_AVX512 binary stays
-// correct on AVX2-only hardware — the registry in mxm.cpp simply does not
-// register the family there.
+// correct on AVX2-only hardware — the smxm/smxm_bt dispatchers in
+// tensor/mxm_f32.cpp simply do not select the tier there.
 //
-// Numerics: identical contract to the AVX2 family — each C entry is
-// accumulated over the contraction index in the same sequential order as
-// the scalar kernels, with fused multiply-adds (single rounding per
-// term); mxm_bt_avx512 uses 8-lane partial sums.  Results agree with the
-// scalar reference to a tight relative tolerance, not bitwise (DESIGN.md
-// "Tolerance vs. bitwise policy").
+// Numerics: each C entry is accumulated over the contraction index in
+// ascending order with fused multiply-adds; smxm_avx512_bt uses 16-lane
+// partial sums.  The preconditioner's convergence contract absorbs the
+// difference from the scalar reference (tests/convergence_contract.hpp).
 #pragma once
 
 namespace tsem {
 
-/// True when the AVX-512 family is compiled in AND the executing CPU
+/// True when the AVX-512 tier is compiled in AND the executing CPU
 /// reports AVX512F.  Cached after the first call.
 bool avx512_available();
 
-/// True when the family was compiled in (TSEM_SIMD_AVX512=ON at
-/// configure time).
+/// True when the tier was compiled in (TSEM_SIMD_AVX512=ON at configure
+/// time).
 bool avx512_compiled();
 
-// C (m x n) = A (m x k) * B (k x n), all dense row-major, C overwritten.
-// Register tiles: 8 rows x 8 cols (one zmm per row) and 4 rows x 16 cols
-// (two zmm per row); the autotuner picks among them per shape.
-// Callable only when avx512_available() — they TSEM_REQUIRE-fail
-// otherwise.
-void mxm_avx512_b8x8(const double* a, int m, const double* b, int k,
-                     double* c, int n);
-void mxm_avx512_b4x16(const double* a, int m, const double* b, int k,
-                      double* c, int n);
-
-/// C (m x n) = A (m x k) * B^T with B stored (n x k) row-major — the
-/// AVX-512 twin of mxm_bt (8-lane FMA partial sums over the contraction).
-void mxm_bt_avx512(const double* a, int m, const double* b, int k, double* c,
-                   int n);
-
-// Single-precision twins for the FP32 preconditioner path (DESIGN.md
-// "Precision policy"): one zmm holds 16 floats, so a full C row of the
-// Schwarz subdomain solves (m <= 19 at order 16, overlap 1) needs at
-// most one vector plus a masked tail.  Reached through the smxm/smxm_bt
-// dispatchers in tensor/mxm_f32.cpp, never the double registry.
-// Callable only when avx512_available().
+// C (m x n) = A (m x k) * B (k x n), and C = A * B^T with B stored
+// (n x k), dense row-major float, C overwritten.  Callable only when
+// avx512_available() — they TSEM_REQUIRE-fail otherwise.
 void smxm_avx512(const float* a, int m, const float* b, int k, float* c,
                  int n);
-void smxm_bt_avx512(const float* a, int m, const float* b, int k, float* c,
+void smxm_avx512_bt(const float* a, int m, const float* b, int k, float* c,
                     int n);
 
 }  // namespace tsem

@@ -55,10 +55,9 @@ void mxm_fixed_dispatch(const double* a, int m, const double* b, int k,
   if (run_fixed(std::make_integer_sequence<int, kMaxFixed - 1>{}, a, m, b, k,
                 c, n))
     return;
-  // Same scalar shape rule as the autotuner's out-of-table fallback.
-  // Accuracy matches the registry's relative contract, not bitwise: the
-  // dot-product form contracts into FMA differently from the row-update
-  // generic at vector tails.
+  // Scalar shape rule.  Accuracy matches the family's relative contract,
+  // not bitwise: the dot-product form contracts into FMA differently from
+  // the row-update generic at vector tails.
   if (m > n)
     mxm_f2(a, m, b, k, c, n);
   else

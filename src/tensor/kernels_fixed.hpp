@@ -1,6 +1,7 @@
-// Fixed-(m,k,n) kernel tier — the "ghm" specialized-library stand-in,
-// promoted from the header-only mxm_fixed<M,K,N> template into a registry
-// variant the autotuner can select.
+// Fixed-(m,k,n) kernel tier — the "ghm" specialized-library stand-in:
+// the header-only mxm_fixed<M,K,N> template instantiated at the shapes
+// the discretization runs, and the "fixed" kernel of mxm()'s static
+// dispatch (mxm.hpp).
 //
 // mxm_fixed_dispatch exact-matches the runtime shape against a set of
 // precompiled instantiations covering the shapes the discretization
@@ -11,15 +12,12 @@
 //   long shapes  (d, d, d*d)  for d = 2..16   — tensor3_apply final stage
 //                                               (collapsed plane extent)
 //
-// and falls back to the scalar f2/f3 shape rule otherwise, so the variant
-// is safe under ANY call shape the dispatch table routes to it (a tuned
-// cell is keyed by (m, k) but sees every n in its class).  The
-// restrict-qualified constant-extent loops let the compiler vectorize
-// aggressively, so agreement with the other variants is the family's
-// relative accuracy contract, not bitwise (DESIGN.md "Tolerance vs.
-// bitwise policy"); like every registry member the selection stays
-// deterministic per build+machine.  Registers with simd = false (no
-// runtime ISA gate — the codegen is whatever -march allows everywhere).
+// and falls back to the scalar f2/f3 shape rule otherwise, so it is safe
+// under ANY call shape.  The restrict-qualified constant-extent loops let
+// the compiler vectorize aggressively, so agreement with the reference
+// kernels is the family's relative accuracy contract, not bitwise
+// (DESIGN.md "Tolerance vs. bitwise policy").  No runtime ISA gate — the
+// codegen is whatever -march allows everywhere.
 #pragma once
 
 namespace tsem {
@@ -29,8 +27,7 @@ namespace tsem {
 void mxm_fixed_dispatch(const double* a, int m, const double* b, int k,
                         double* c, int n);
 
-/// True when (m, k, n) hits a precompiled fixed instantiation (bench and
-/// test introspection; dispatch itself never needs asking).
+/// True when (m, k, n) hits a precompiled fixed instantiation.
 bool mxm_fixed_covers(int m, int k, int n);
 
 }  // namespace tsem

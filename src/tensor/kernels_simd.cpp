@@ -72,10 +72,22 @@ inline void tail_col(const double* a, const double* bj, double* cij, int k,
   }
 }
 
-template <int ROWS, int NV>
-void mxm_avx2_impl(const double* a, int m, const double* b, int k, double* c,
+// Sum the four lanes of s0..s3 into one vector whose lane t holds the
+// full horizontal sum of st (classic hadd/permute reduction).
+inline __m256d hsum4(__m256d s0, __m256d s1, __m256d s2, __m256d s3) {
+  const __m256d t0 = _mm256_hadd_pd(s0, s1);  // s0[0]+s0[1], s1[0]+s1[1],
+                                              // s0[2]+s0[3], s1[2]+s1[3]
+  const __m256d t1 = _mm256_hadd_pd(s2, s3);
+  const __m256d swap = _mm256_permute2f128_pd(t0, t1, 0x21);
+  const __m256d blend = _mm256_blend_pd(t0, t1, 0b1100);
+  return _mm256_add_pd(swap, blend);
+}
+
+}  // namespace
+
+void mxm_avx2_b4x8(const double* a, int m, const double* b, int k, double* c,
                    int n) {
-  constexpr int JB = 4 * NV;
+  constexpr int ROWS = 4, NV = 2, JB = 4 * NV;
   int i = 0;
   for (; i + ROWS <= m; i += ROWS) {
     const double* ai = a + static_cast<std::ptrdiff_t>(i) * k;
@@ -92,29 +104,6 @@ void mxm_avx2_impl(const double* a, int m, const double* b, int k, double* c,
     for (; j + 4 <= n; j += 4) tile<1, 1>(ai, b + j, ci + j, k, n);
     for (; j < n; ++j) tail_col(ai, b + j, ci + j, k, n, 1);
   }
-}
-
-// Sum the four lanes of s0..s3 into one vector whose lane t holds the
-// full horizontal sum of st (classic hadd/permute reduction).
-inline __m256d hsum4(__m256d s0, __m256d s1, __m256d s2, __m256d s3) {
-  const __m256d t0 = _mm256_hadd_pd(s0, s1);  // s0[0]+s0[1], s1[0]+s1[1],
-                                              // s0[2]+s0[3], s1[2]+s1[3]
-  const __m256d t1 = _mm256_hadd_pd(s2, s3);
-  const __m256d swap = _mm256_permute2f128_pd(t0, t1, 0x21);
-  const __m256d blend = _mm256_blend_pd(t0, t1, 0b1100);
-  return _mm256_add_pd(swap, blend);
-}
-
-}  // namespace
-
-void mxm_avx2_b4x8(const double* a, int m, const double* b, int k, double* c,
-                   int n) {
-  mxm_avx2_impl<4, 2>(a, m, b, k, c, n);
-}
-
-void mxm_avx2_b8x4(const double* a, int m, const double* b, int k, double* c,
-                   int n) {
-  mxm_avx2_impl<8, 1>(a, m, b, k, c, n);
 }
 
 void mxm_bt_avx2(const double* a, int m, const double* b, int k, double* c,
@@ -228,7 +217,7 @@ void smxm_avx2(const float* a, int m, const float* b, int k, float* c,
   }
 }
 
-void smxm_bt_avx2(const float* a, int m, const float* b, int k, float* c,
+void smxm_avx2_bt(const float* a, int m, const float* b, int k, float* c,
                   int n) {
   for (int i = 0; i < m; ++i) {
     const float* ai = a + static_cast<std::ptrdiff_t>(i) * k;
@@ -270,14 +259,11 @@ void smxm_bt_avx2(const float* a, int m, const float* b, int k, float* c,
   }
 }
 
-#else  // !TSEM_SIMD_IMPL — declared so the registry code links; never
-       // registered (simd_available() is false), so never reachable.
+#else  // !TSEM_SIMD_IMPL — defined so the dispatch code links; never
+       // selected (simd_available() is false), so never reachable.
 
 void mxm_avx2_b4x8(const double*, int, const double*, int, double*, int) {
   TSEM_REQUIRE(!"mxm_avx2_b4x8 called without TSEM_SIMD support");
-}
-void mxm_avx2_b8x4(const double*, int, const double*, int, double*, int) {
-  TSEM_REQUIRE(!"mxm_avx2_b8x4 called without TSEM_SIMD support");
 }
 void mxm_bt_avx2(const double*, int, const double*, int, double*, int) {
   TSEM_REQUIRE(!"mxm_bt_avx2 called without TSEM_SIMD support");
@@ -285,8 +271,8 @@ void mxm_bt_avx2(const double*, int, const double*, int, double*, int) {
 void smxm_avx2(const float*, int, const float*, int, float*, int) {
   TSEM_REQUIRE(!"smxm_avx2 called without TSEM_SIMD support");
 }
-void smxm_bt_avx2(const float*, int, const float*, int, float*, int) {
-  TSEM_REQUIRE(!"smxm_bt_avx2 called without TSEM_SIMD support");
+void smxm_avx2_bt(const float*, int, const float*, int, float*, int) {
+  TSEM_REQUIRE(!"smxm_avx2_bt called without TSEM_SIMD support");
 }
 
 #endif

@@ -7,15 +7,15 @@
 // defines TSEM_SIMD_ENABLED and compiles this translation unit with those
 // flags).  Runtime gating: simd_available() additionally requires the
 // executing CPU to report AVX2 and FMA, so a TSEM_SIMD binary stays
-// correct on older hardware — the registry in mxm.cpp simply does not
-// register the family there.
+// correct on older hardware — the static dispatch in mxm.cpp simply does
+// not select the family there.
 //
 // Numerics: each C entry is accumulated over the contraction index in the
 // same sequential order as the scalar kernels, but with fused
 // multiply-adds (single rounding per term) and, in mxm_bt_avx2, four-lane
 // partial sums.  Results therefore agree with the scalar reference to a
 // tight relative tolerance, not bitwise — see the tolerance policy in
-// DESIGN.md (Kernel registry & autotuner).
+// DESIGN.md ("Static kernel dispatch").
 #pragma once
 
 namespace tsem {
@@ -31,13 +31,10 @@ bool simd_compiled();
 /// simd_available(), "none" otherwise.
 const char* simd_isa_name();
 
-// C (m x n) = A (m x k) * B (k x n), all dense row-major, C overwritten.
-// Register tiles: 4 rows x 8 cols and 8 rows x 4 cols of C respectively;
-// the autotuner picks between them (and the scalar variants) per shape.
-// Callable only when simd_available() — they TSEM_REQUIRE-fail otherwise.
+// C (m x n) = A (m x k) * B (k x n), all dense row-major, C overwritten,
+// in 4-row x 8-column register tiles of C.  Callable only when
+// simd_available() — it TSEM_REQUIRE-fails otherwise.
 void mxm_avx2_b4x8(const double* a, int m, const double* b, int k, double* c,
-                   int n);
-void mxm_avx2_b8x4(const double* a, int m, const double* b, int k, double* c,
                    int n);
 
 /// C (m x n) = A (m x k) * B^T with B stored (n x k) row-major — the
@@ -50,10 +47,10 @@ void mxm_bt_avx2(const double* a, int m, const double* b, int k, double* c,
 // "Precision policy"): 8-lane float tiles, twice the lane width of the
 // double kernels at the same register budget.  Reached through the
 // smxm/smxm_bt dispatchers in tensor/mxm_f32.cpp, never the double
-// registry.  Callable only when simd_available().
+// dispatch.  Callable only when simd_available().
 void smxm_avx2(const float* a, int m, const float* b, int k, float* c,
                int n);
-void smxm_bt_avx2(const float* a, int m, const float* b, int k, float* c,
+void smxm_avx2_bt(const float* a, int m, const float* b, int k, float* c,
                   int n);
 
 }  // namespace tsem

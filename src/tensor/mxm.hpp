@@ -2,8 +2,8 @@
 //
 // The spectral element method casts every operator application as a
 // sequence of small matrix-matrix products (paper eq. 3); >90% of the
-// flops in a simulation pass through these kernels (paper §6), so a
-// family of variants is provided and benchmarked in bench_table3_mxm:
+// flops in a simulation pass through these kernels (paper §6).  The
+// Table 3 reference kernels (bench_table3_mxm) are plain functions:
 //
 //   mxm_generic  — portable i-k-j triple loop (accumulates into C rows);
 //                  stand-in for the stock vendor BLAS ("lkm").
@@ -11,36 +11,28 @@
 //   mxm_f2       — inner (k = n2) dimension fully unrolled, n3 outer
 //                  (the paper's hand-unrolled "f2").
 //   mxm_f3       — inner dimension fully unrolled, n1 outer ("f3").
-//   mxm_fixed<M,K,N> — all extents compile-time (the "ghm" specialized
-//                  library stand-in for n2 <= 20); registered as the
-//                  "fixed" variant via mxm_fixed_dispatch
-//                  (kernels_fixed.hpp), which exact-matches the common
-//                  order-8..16 shapes against precompiled instantiations.
-//   mxm_avx2_*   — AVX2/FMA register-tiled family (kernels_simd.hpp),
-//                  present when TSEM_SIMD is compiled in and the CPU
-//                  supports it.
-//   mxm_avx512_* — AVX-512F family (kernels_avx512.hpp), present when
-//                  TSEM_SIMD_AVX512 is compiled in and the CPU reports
-//                  AVX512F.
 //
-// The variants are collected in a runtime registry (mxm_registry) and a
-// one-time autotuner (mxm_autotune_init) times every registered variant
-// on the shape classes the discretization uses (m, k <= 16, with short
-// and long n) and installs the winner per shape in a dispatch table.
-// mxm() and mxm_bt() route through that table.  Selection is cached for
-// the life of the process, so every call with a given shape runs the
-// same kernel — the PR-3 bitwise thread-count invariance is preserved.
-// Set TSEM_MXM_KERNEL=<variant name> to bypass tuning and pin one
-// variant (useful for cross-process reproducibility; scalar variants are
-// bitwise reorder-free, SIMD variants match to relative tolerance — see
-// DESIGN.md "Kernel registry & autotuner").
+// The library calls mxm()/mxm_bt(), which dispatch statically on shape
+// and runtime ISA — the paper's answer too: one fixed kernel per shape,
+// never timed at run time (DESIGN.md "Static kernel dispatch"):
+//
+//   mxm    cube (d, d, d), 2 <= d <= 16  -> "fixed"     mxm_fixed_dispatch
+//          any other shape, n >= 4, SIMD -> "avx2_b4x8" mxm_avx2_b4x8
+//          otherwise                     -> "fixed"     (f2/f3 off-table)
+//   mxm_bt SIMD                          -> "bt_avx2"   mxm_bt_avx2
+//          otherwise                     -> "bt_scalar" mxm_bt_scalar
+//
+// "SIMD" is simd_available(): the AVX2/FMA family compiled in
+// (TSEM_SIMD) and reported by the executing CPU.  The choice is a pure
+// function of (m, k, n) and the CPU, so every process of a build on a
+// machine runs the same kernels: results are bitwise reproducible run to
+// run, across processes and across thread counts.
 //
 // All matrices are dense row-major. C is overwritten:
 //   C (m x n) = A (m x k) * B (k x n).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,9 +46,13 @@ void mxm_blocked(const double* a, int m, const double* b, int k, double* c,
 void mxm_f2(const double* a, int m, const double* b, int k, double* c, int n);
 void mxm_f3(const double* a, int m, const double* b, int k, double* c, int n);
 
+/// Default product used throughout the library, through the static shape
+/// dispatch above.
+void mxm(const double* a, int m, const double* b, int k, double* c, int n);
+
 /// C (m x n) = A (m x k) * B^T where B is stored (n x k) row-major.
-/// Routed through the autotuned dispatch table (see mxm_bt_scalar for the
-/// portable reference kernel).
+/// Statically dispatched (see mxm_bt_scalar for the portable reference
+/// kernel).
 void mxm_bt(const double* a, int m, const double* b, int k, double* c, int n);
 
 /// Portable reference implementation of mxm_bt (sequential dot products).
@@ -66,95 +62,35 @@ void mxm_bt_scalar(const double* a, int m, const double* b, int k, double* c,
 /// C (m x n) = A^T * B where A is stored (k x m) row-major.
 void mxm_at(const double* a, int m, const double* b, int k, double* c, int n);
 
-// ---------------------------------------------------------------------------
-// Kernel registry + autotuner.
-
-using MxmKernelFn = void (*)(const double* a, int m, const double* b, int k,
-                             double* c, int n);
-
-struct MxmVariant {
-  const char* name;  // stable identifier ("f2", "avx2_b4x8", ...)
-  MxmKernelFn fn;
-  bool simd;  // true for the AVX2/FMA family (tolerance, not bitwise)
-};
-
-/// Registered C = A*B variants, in registration (preference) order.
-/// SIMD variants appear only when compiled in AND runnable on this CPU.
-const std::vector<MxmVariant>& mxm_registry();
-
-/// Registered C = A*B^T variants (same rules).
-const std::vector<MxmVariant>& mxm_bt_registry();
-
-/// Look up a registered variant (either registry) by name; nullptr if
-/// absent.
-const MxmVariant* mxm_variant_by_name(const char* name);
-
-/// Build the dispatch table now (idempotent, thread-safe; otherwise it is
-/// built lazily on the first mxm()/mxm_bt() call).  Timing uses seeded
-/// operands and fixed rep counts; within a process the table is built
-/// once and never changes.
-///
-/// Environment knobs, read when the table is built:
-///   TSEM_MXM_KERNEL=<name>        pin one dispatch to a named variant.
-///   TSEM_MXM_DETERMINISTIC=1      skip timed selection entirely and use
-///     the fixed shape heuristic — same build + machine always picks the
-///     same kernels.  Timing noise can otherwise tune two processes of
-///     the same binary onto different variants with different FP
-///     rounding; fleet workers set this so crash-retried attempts stay
-///     bit-identical to their baselines (fleet/worker.hpp).
-void mxm_autotune_init();
-
-/// Name of the variant mxm() dispatches to for this shape.
+/// Name of the kernel mxm() dispatches to for this shape ("fixed" or
+/// "avx2_b4x8").
 const char* mxm_selected_name(int m, int k, int n);
 
-/// Name of the variant mxm_bt() dispatches to for this contraction size.
-const char* mxm_bt_selected_name(int k);
+/// Name of the kernel mxm_bt() dispatches to ("bt_avx2" or "bt_scalar";
+/// the choice does not depend on k).
+const char* mxm_bt_selected_name();
 
-/// Digest of the tuned table for bench/obs metadata: one (shape label,
-/// variant name) pair per tuned shape class, deterministic order.
+/// Kept for callers that used to build a tuned table before timing:
+/// dispatch is static, so there is nothing to build and this does
+/// nothing.
+void mxm_autotune_init();
+
+/// The dispatch choice for every order d = 2..16, as (label, kernel name)
+/// pairs in a fixed order: "small/dxdxd" (the cube), "long/dxdxN" (the
+/// collapsed plane a tensor3_apply final stage sees, N = max(d*d, 17))
+/// and "bt/k=d".
 std::vector<std::pair<std::string, std::string>> mxm_autotune_selections();
 
-/// Serialize the COMPLETE tuned dispatch table (every (m, k) cell of the
-/// small-n and long-n classes, every bt contraction size, and any forced
-/// pins) as variant names.  Unlike mxm_autotune_selections — a lossy
-/// even-diagonal digest for bench metadata — this captures enough to
-/// reproduce every dispatch decision in another process of the same
-/// build: the fleet's setup cache ships it to cache-hit workers so all
-/// workers of a shape run the exact same kernels even under timed tuning
-/// (DESIGN.md "Setup cache").  Builds the table first if needed.
-std::vector<std::uint8_t> mxm_autotune_export_table();
-
-/// Install a table exported by mxm_autotune_export_table, replacing any
-/// table already built in this process.  Declines (returns false, table
-/// untouched) when (a) TSEM_MXM_KERNEL names a runnable variant — an
-/// explicit pin outranks a shipped table — or (b) any recorded variant
-/// name is not runnable here (version skew, or an ISA the executing CPU
-/// fails the runtime gate for).  On decline the caller falls back to
-/// mxm_autotune_init().
-bool mxm_autotune_import_table(const std::vector<std::uint8_t>& blob);
+/// Emit one `mxm_dispatch` obs event carrying mxm_autotune_selections()
+/// and the compile/runtime ISA flags, so a bench record names every
+/// kernel choice.
+void mxm_emit_dispatch_event();
 
 /// Best vector ISA the executing CPU reports, detected at runtime and
 /// independent of compile flags: "avx512", "avx2", or "none".  Bench
 /// meta carries this beside the compile-time `isa` so artifacts from
 /// heterogeneous CI runners are distinguishable.
 const char* mxm_isa_runtime_name();
-
-namespace detail {
-/// Table-dispatched product; the inline mxm() below forwards here.
-void mxm_tuned(const double* a, int m, const double* b, int k, double* c,
-               int n);
-/// Drop the cached dispatch table so the next use re-tunes (re-reading
-/// TSEM_MXM_KERNEL).  Testing hook only — not safe while other threads
-/// are inside mxm().
-void mxm_autotune_reset_for_testing();
-}  // namespace detail
-
-/// Default product used throughout the library: dispatches to the
-/// autotuner-selected variant for the shape (built on first use).
-inline void mxm(const double* a, int m, const double* b, int k, double* c,
-                int n) {
-  detail::mxm_tuned(a, m, b, k, c, n);
-}
 
 /// Fully compile-time-sized product, M x K times K x N.  The operands
 /// must not alias C (true of every call site in the library): without

@@ -43,10 +43,9 @@ void smxm_bt_scalar(const float* a, int m, const float* b, int k, float* c,
   }
 }
 
-// Best runnable tier, resolved once per process.  The FP32 path carries
-// no bitwise contract (its whole output is absorbed by the convergence
-// contract), so a plain runtime ISA pick needs no registry, autotuner,
-// or TSEM_MXM_KERNEL plumbing.
+// Best runnable tier, resolved once per process by a plain runtime ISA
+// pick.  The FP32 path carries no bitwise contract (its whole output is
+// absorbed by the convergence contract), so it may use the widest tier.
 using SmxmFn = void (*)(const float*, int, const float*, int, float*, int);
 
 SmxmFn pick_smxm() {
@@ -56,8 +55,8 @@ SmxmFn pick_smxm() {
 }
 
 SmxmFn pick_smxm_bt() {
-  if (avx512_available()) return smxm_bt_avx512;
-  if (simd_available()) return smxm_bt_avx2;
+  if (avx512_available()) return smxm_avx512_bt;
+  if (simd_available()) return smxm_avx2_bt;
   return smxm_bt_scalar;
 }
 

@@ -8,10 +8,9 @@
 // bytes and runs twice the lanes of its double counterpart, which is
 // where the preconditioner-apply speedup comes from — the hand tiers
 // matter because the compiler cannot reassociate the bt dot-product
-// reductions.  They are NOT part of the kernel registry — the registry,
-// autotuner, and TSEM_MXM_KERNEL pinning govern the FP64 operator path
-// only; the FP32 tier is reached solely through
-// FdmLocal::solve_batch_f32 under TSEM_PRECOND_FP32.
+// reductions.  They are NOT part of mxm()'s static dispatch, which
+// governs the FP64 operator path only; the FP32 tier is reached solely
+// through FdmLocal::solve_batch_f32 under TSEM_PRECOND_FP32.
 //
 // Numerics: ascending-l accumulation like the scalar FP64 kernels, but in
 // float — results carry single-precision rounding by design.  The

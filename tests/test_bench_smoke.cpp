@@ -117,7 +117,9 @@ TEST(BenchSmoke, Fig6TiersAndMeasuredScheduleFidelity) {
       EXPECT_EQ(static_cast<int>(words->size()), lev);
       std::int64_t sum = 0;
       for (const auto& w : words->items()) sum += w.as_int();
-      if (p > 1) EXPECT_GT(sum, 0);
+      if (p > 1) {
+        EXPECT_GT(sum, 0);
+      }
       EXPECT_LE(sum, static_cast<std::int64_t>(field(*c, "xxt_msg_words")));
     } else {
       EXPECT_EQ(c->find("xxt_level_words"), nullptr);

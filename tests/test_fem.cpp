@@ -20,7 +20,9 @@ TEST(Fem1D, UniformGridMatchesClassicStencil) {
   const int m = 3;
   for (int i = 0; i < m; ++i) {
     EXPECT_NEAR(a[i * m + i], 2.0 / h, 1e-13);
-    if (i + 1 < m) EXPECT_NEAR(a[i * m + i + 1], -1.0 / h, 1e-13);
+    if (i + 1 < m) {
+      EXPECT_NEAR(a[i * m + i + 1], -1.0 / h, 1e-13);
+    }
     EXPECT_NEAR(b[i], h, 1e-13);
   }
 }

@@ -152,11 +152,6 @@ TEST(Pressure, ESolveConvergesWithIdentityPrecond) {
   p.apply_E(pstar.data(), g.data());
 
   auto apply = [&](const double* x, double* y) { p.apply_E(x, y); };
-  auto dot = [](const double* x, const double* y) {
-    (void)x;
-    return 0.0;  // replaced below
-  };
-  (void)dot;
   auto pdot = [n](const double* x, const double* y) {
     double s2 = 0.0;
     for (std::size_t i = 0; i < n; ++i) s2 += x[i] * y[i];

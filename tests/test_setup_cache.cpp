@@ -219,7 +219,6 @@ TEST(SetupBundleIo, BundleFramingRoundTripsAndRejectsDefects) {
   b.fdm = {};  // empty sections are preserved as empty
   b.xxt = {9};
   b.dealias = std::vector<std::uint8_t>(300, 0x5a);
-  b.mxm = {7, 7};
   b.ghost = {4, 5};
   b.gs = {6};
   const std::vector<std::uint8_t> enc = tsem::encode_setup_bundle(b);
@@ -230,7 +229,6 @@ TEST(SetupBundleIo, BundleFramingRoundTripsAndRejectsDefects) {
   EXPECT_TRUE(back.fdm.empty());
   EXPECT_EQ(back.xxt, b.xxt);
   EXPECT_EQ(back.dealias, b.dealias);
-  EXPECT_EQ(back.mxm, b.mxm);
   EXPECT_EQ(back.ghost, b.ghost);
   EXPECT_EQ(back.gs, b.gs);
 
@@ -243,7 +241,7 @@ TEST(SetupBundleIo, BundleFramingRoundTripsAndRejectsDefects) {
   bad[0] ^= 0xff;
   EXPECT_FALSE(tsem::decode_setup_bundle(bad, &back));
   bad = enc;
-  bad[4] ^= 0x01;
+  bad[4] ^= 0x01;  // v3 -> v2, the format that still carried an mxm table
   EXPECT_FALSE(tsem::decode_setup_bundle(bad, &back));
   bad = enc;
   bad.push_back(0);

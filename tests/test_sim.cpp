@@ -129,7 +129,9 @@ TEST(HairpinModel, PressureTransientProfile) {
   ASSERT_EQ(prof.size(), 26u);
   for (int n = 0; n < 26; ++n) {
     EXPECT_DOUBLE_EQ(prof[n], 40.0 + 260.0 * std::exp(-n / 4.0));
-    if (n > 0) EXPECT_LT(prof[n], prof[n - 1]);  // monotone decay
+    if (n > 0) {
+      EXPECT_LT(prof[n], prof[n - 1]);  // monotone decay
+    }
   }
   // Settles into the paper's 30-50 band by mid-run.
   EXPECT_LT(prof[15], 50.0);

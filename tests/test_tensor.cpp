@@ -4,13 +4,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <random>
-#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "tensor/kernels_fixed.hpp"
+#include "tensor/kernels_simd.hpp"
 #include "tensor/mxm.hpp"
 #include "tensor/tensor_apply.hpp"
 
@@ -45,6 +45,33 @@ struct MxmShape {
   int m, k, n;
 };
 
+using Kernel = void (*)(const double*, int, const double*, int, double*,
+                        int);
+
+struct NamedKernel {
+  const char* name;
+  Kernel fn;
+};
+
+// Every kernel mxm() can dispatch to on this machine, plus the four
+// Table 3 reference kernels.
+std::vector<NamedKernel> mxm_kernels() {
+  std::vector<NamedKernel> k = {{"fixed", tsem::mxm_fixed_dispatch},
+                                {"generic", mxm_generic},
+                                {"blocked", mxm_blocked},
+                                {"f2", mxm_f2},
+                                {"f3", mxm_f3}};
+  if (tsem::simd_available())
+    k.push_back({"avx2_b4x8", tsem::mxm_avx2_b4x8});
+  return k;
+}
+
+std::vector<NamedKernel> mxm_bt_kernels() {
+  std::vector<NamedKernel> k = {{"bt_scalar", tsem::mxm_bt_scalar}};
+  if (tsem::simd_available()) k.push_back({"bt_avx2", tsem::mxm_bt_avx2});
+  return k;
+}
+
 class MxmKernels : public ::testing::TestWithParam<MxmShape> {};
 
 TEST_P(MxmKernels, AllVariantsMatchReference) {
@@ -53,14 +80,11 @@ TEST_P(MxmKernels, AllVariantsMatchReference) {
   const auto b = random_matrix(k, n, 31);
   const auto ref = reference_mxm(a, m, b, k, n);
 
-  using Kernel = void (*)(const double*, int, const double*, int, double*,
-                          int);
-  const Kernel kernels[] = {mxm_generic, mxm_blocked, mxm_f2, mxm_f3};
-  for (Kernel kern : kernels) {
+  for (const auto& v : mxm_kernels()) {
     std::vector<double> c(static_cast<std::size_t>(m) * n, -999.0);
-    kern(a.data(), m, b.data(), k, c.data(), n);
+    v.fn(a.data(), m, b.data(), k, c.data(), n);
     for (std::size_t i = 0; i < ref.size(); ++i)
-      ASSERT_NEAR(c[i], ref[i], 1e-12 * (1.0 + std::fabs(ref[i])));
+      ASSERT_NEAR(c[i], ref[i], 1e-12 * (1.0 + std::fabs(ref[i]))) << v.name;
   }
 }
 
@@ -73,42 +97,74 @@ INSTANTIATE_TEST_SUITE_P(
                       MxmShape{196, 16, 14}, MxmShape{7, 33, 5},
                       MxmShape{40, 40, 40}));
 
-// mxm() dispatches through the autotuned table.  Whatever variant the
-// tuner selected for a shape, the dispatcher must agree BITWISE with a
-// direct call to that variant — the guarantee behind thread-count and
-// run-to-run reproducibility (selection is fixed per process).
+// The static dispatch rule, restated independently of mxm.cpp: the fixed
+// tier on covered cubes, the AVX2 kernel on any other shape wide enough
+// to vectorize, the fixed tier (f2/f3 off its table) otherwise.
+NamedKernel expected_mxm(int m, int k, int n) {
+  if (m == k && k == n && m >= 2 && m <= 16)
+    return {"fixed", tsem::mxm_fixed_dispatch};
+  if (tsem::simd_available() && n >= 4)
+    return {"avx2_b4x8", tsem::mxm_avx2_b4x8};
+  return {"fixed", tsem::mxm_fixed_dispatch};
+}
+
+NamedKernel expected_mxm_bt() {
+  if (tsem::simd_available()) return {"bt_avx2", tsem::mxm_bt_avx2};
+  return {"bt_scalar", tsem::mxm_bt_scalar};
+}
+
+// mxm()/mxm_bt() must agree BITWISE with a direct call to the kernel the
+// rule names, for every shape the discretization produces (m, k, n in
+// 2..16) and a few beyond it (dealiasing grids, collapsed planes) — the
+// guarantee behind run-to-run, cross-process and thread-count
+// reproducibility.
 TEST(Mxm, ShapeDispatchMatchesSelectedVariant) {
-  const MxmShape shapes[] = {{64, 8, 8},   {8, 8, 64},  {16, 16, 16},
-                             {100, 7, 3},  {3, 7, 100}, {5, 30, 5},
-                             {40, 30, 12}, {12, 30, 40}};
+  std::vector<MxmShape> shapes;
+  for (int m = 2; m <= 16; ++m)
+    for (int k = 2; k <= 16; ++k)
+      for (int n = 2; n <= 16; ++n) shapes.push_back({m, k, n});
+  for (const MxmShape s : {MxmShape{1, 1, 1}, MxmShape{8, 8, 64},
+                           MxmShape{16, 16, 256}, MxmShape{17, 17, 17},
+                           MxmShape{24, 24, 24}, MxmShape{100, 7, 3},
+                           MxmShape{3, 7, 100}, MxmShape{40, 30, 12}})
+    shapes.push_back(s);
+  const NamedKernel bt = expected_mxm_bt();
   for (const auto& s : shapes) {
-    const auto a = random_matrix(s.m, s.k, 101);
-    const auto b = random_matrix(s.k, s.n, 103);
+    const auto a = random_matrix(s.m, s.k, 101 + s.m);
+    const auto b = random_matrix(s.k, s.n, 103 + s.n);
     const std::size_t sz = static_cast<std::size_t>(s.m) * s.n;
-    std::vector<double> c_dispatch(sz, -1.0), c_variant(sz, -2.0);
+    const NamedKernel want = expected_mxm(s.m, s.k, s.n);
+    ASSERT_STREQ(tsem::mxm_selected_name(s.m, s.k, s.n), want.name)
+        << "shape " << s.m << "x" << s.k << "x" << s.n;
+    std::vector<double> c_dispatch(sz, -1.0), c_kernel(sz, -2.0);
     tsem::mxm(a.data(), s.m, b.data(), s.k, c_dispatch.data(), s.n);
-    const char* sel = tsem::mxm_selected_name(s.m, s.k, s.n);
-    const tsem::MxmVariant* v = tsem::mxm_variant_by_name(sel);
-    ASSERT_NE(v, nullptr) << "unknown selected variant " << sel;
-    v->fn(a.data(), s.m, b.data(), s.k, c_variant.data(), s.n);
-    for (std::size_t i = 0; i < sz; ++i)
-      ASSERT_EQ(c_dispatch[i], c_variant[i])
-          << "shape " << s.m << "x" << s.k << "x" << s.n << " entry " << i
-          << " variant " << sel;
-    const auto ref = reference_mxm(a, s.m, b, s.k, s.n);
-    for (std::size_t i = 0; i < sz; ++i)
-      ASSERT_NEAR(c_dispatch[i], ref[i], 1e-12 * (1.0 + std::fabs(ref[i])));
+    want.fn(a.data(), s.m, b.data(), s.k, c_kernel.data(), s.n);
+    ASSERT_EQ(std::memcmp(c_dispatch.data(), c_kernel.data(),
+                          sz * sizeof(double)),
+              0)
+        << "mxm shape " << s.m << "x" << s.k << "x" << s.n << " kernel "
+        << want.name;
+
+    // mxm_bt reads b as B^T stored (n x k): same storage, other role.
+    const auto bt_op = random_matrix(s.n, s.k, 107 + s.k);
+    ASSERT_STREQ(tsem::mxm_bt_selected_name(), bt.name);
+    tsem::mxm_bt(a.data(), s.m, bt_op.data(), s.k, c_dispatch.data(), s.n);
+    bt.fn(a.data(), s.m, bt_op.data(), s.k, c_kernel.data(), s.n);
+    ASSERT_EQ(std::memcmp(c_dispatch.data(), c_kernel.data(),
+                          sz * sizeof(double)),
+              0)
+        << "mxm_bt shape " << s.m << "x" << s.k << "x" << s.n << " kernel "
+        << bt.name;
   }
 }
 
-// Exhaustive correctness sweep: EVERY registered variant (scalar and
-// SIMD) against the naive reference over every shape the discretization
-// can produce, m, k, n in {2..16}.  SIMD variants reassociate the
-// contraction with FMA, so the bound is relative, not bitwise — this is
-// the documented accuracy contract for the whole kernel family.
-TEST(MxmRegistry, AllRegisteredVariantsSweepAllSmallShapes) {
-  const auto& reg = tsem::mxm_registry();
-  ASSERT_GE(reg.size(), 4u);  // the four scalar kernels at minimum
+// Exhaustive correctness sweep: EVERY kept kernel (scalar and SIMD)
+// against the naive reference over every shape the discretization can
+// produce, m, k, n in {2..16}.  SIMD kernels reassociate the contraction
+// with FMA, so the bound is relative, not bitwise — this is the
+// documented accuracy contract for the whole kernel family.
+TEST(MxmSweep, AllKernelsSweepAllSmallShapes) {
+  const auto kernels = mxm_kernels();
   for (int m = 2; m <= 16; ++m)
     for (int k = 2; k <= 16; ++k)
       for (int n = 2; n <= 16; ++n) {
@@ -117,7 +173,7 @@ TEST(MxmRegistry, AllRegisteredVariantsSweepAllSmallShapes) {
             random_matrix(k, n, 2000 + 16 * k + n);
         const auto ref = reference_mxm(a, m, b, k, n);
         std::vector<double> c(static_cast<std::size_t>(m) * n);
-        for (const auto& v : reg) {
+        for (const auto& v : kernels) {
           std::fill(c.begin(), c.end(), -999.0);
           v.fn(a.data(), m, b.data(), k, c.data(), n);
           for (std::size_t i = 0; i < ref.size(); ++i)
@@ -128,10 +184,9 @@ TEST(MxmRegistry, AllRegisteredVariantsSweepAllSmallShapes) {
       }
 }
 
-// Same sweep for the B-transposed registry feeding mxm_bt.
-TEST(MxmRegistry, AllBtVariantsSweepAllSmallShapes) {
-  const auto& reg = tsem::mxm_bt_registry();
-  ASSERT_GE(reg.size(), 1u);
+// Same sweep for the B-transposed kernels feeding mxm_bt.
+TEST(MxmSweep, AllBtKernelsSweepAllSmallShapes) {
+  const auto kernels = mxm_bt_kernels();
   for (int m = 2; m <= 16; ++m)
     for (int k = 2; k <= 16; ++k)
       for (int n = 2; n <= 16; ++n) {
@@ -142,7 +197,7 @@ TEST(MxmRegistry, AllBtVariantsSweepAllSmallShapes) {
         for (int i = 0; i < k; ++i)
           for (int j = 0; j < n; ++j) bt[j * k + i] = b[i * n + j];
         std::vector<double> c(static_cast<std::size_t>(m) * n);
-        for (const auto& v : reg) {
+        for (const auto& v : kernels) {
           std::fill(c.begin(), c.end(), -999.0);
           v.fn(a.data(), m, bt.data(), k, c.data(), n);
           for (std::size_t i = 0; i < ref.size(); ++i)
@@ -153,57 +208,44 @@ TEST(MxmRegistry, AllBtVariantsSweepAllSmallShapes) {
       }
 }
 
-// Determinism contract: the table is built ONCE per process and never
-// changes, so repeated init calls return the identical selection digest,
-// every selection names a registered variant, and mxm_selected_name is
-// consistent with the digest.  (Winners near a timing tie may differ
-// BETWEEN processes — TSEM_MXM_KERNEL pins them when cross-process
-// reproducibility matters; see DESIGN.md.)
-TEST(MxmRegistry, AutotunerSelectionsAreDeterministic) {
-  tsem::mxm_autotune_init();
-  const auto first = tsem::mxm_autotune_selections();
-  ASSERT_FALSE(first.empty());
-  for (const auto& [shape, name] : first)
-    EXPECT_NE(tsem::mxm_variant_by_name(name.c_str()), nullptr)
-        << shape << " selected unregistered variant " << name;
-  for (int round = 0; round < 3; ++round) {
-    tsem::mxm_autotune_init();  // idempotent: must NOT re-tune
-    const auto again = tsem::mxm_autotune_selections();
-    ASSERT_EQ(first.size(), again.size());
-    for (std::size_t i = 0; i < first.size(); ++i) {
-      EXPECT_EQ(first[i].first, again[i].first);
-      EXPECT_EQ(first[i].second, again[i].second)
-          << "selection for " << first[i].first << " changed on re-init";
+// The mxm_dispatch event names the choice for every order 2..16 — cube,
+// long plane and bt — and agrees with the dispatch itself.
+TEST(MxmDispatch, EventListsEveryOrder) {
+  const auto sel = tsem::mxm_autotune_selections();
+  ASSERT_EQ(sel.size(), 3u * 15u);
+  for (const auto& [shape, name] : sel) {
+    int m = 0, k = 0, n = 0;
+    if (std::sscanf(shape.c_str(), "small/%dx%dx%d", &m, &k, &n) == 3 ||
+        std::sscanf(shape.c_str(), "long/%dx%dx%d", &m, &k, &n) == 3)
+      EXPECT_EQ(name, expected_mxm(m, k, n).name) << shape;
+    else if (std::sscanf(shape.c_str(), "bt/k=%d", &k) == 1)
+      EXPECT_EQ(name, expected_mxm_bt().name) << shape;
+    else
+      ADD_FAILURE() << "unexpected label " << shape;
+  }
+  EXPECT_EQ(sel.front().first, "small/2x2x2");
+  EXPECT_EQ(sel.front().second, "fixed");
+
+  if (!tsem::obs::enabled()) GTEST_SKIP() << "obs compiled out";
+  auto& reg = tsem::obs::MetricsRegistry::instance();
+  reg.reset();
+  tsem::mxm_emit_dispatch_event();
+  const tsem::obs::Json snap = reg.snapshot();
+  int found = 0;
+  for (const auto& e : snap.find("events")->items()) {
+    const auto* type = e.find("type");
+    if (!type || type->as_string() != "mxm_dispatch") continue;
+    ++found;
+    const auto* selections = e.find("selections");
+    ASSERT_NE(selections, nullptr);
+    for (const auto& [shape, name] : sel) {
+      const auto* got = selections->find(shape);
+      ASSERT_NE(got, nullptr) << shape;
+      EXPECT_EQ(got->as_string(), name) << shape;
     }
   }
-  // The dispatch-table lookups agree with the published digest for the
-  // square tuned shapes (digest labels are "small/dxdxd").
-  for (const auto& [shape, name] : first) {
-    if (shape.rfind("small/", 0) != 0) continue;
-    int d = 0;
-    ASSERT_EQ(std::sscanf(shape.c_str(), "small/%dx", &d), 1);
-    EXPECT_EQ(name, tsem::mxm_selected_name(d, d, d)) << shape;
-  }
-}
-
-// TSEM_MXM_KERNEL pins every mxm() shape to one named variant, bypassing
-// the timing pass entirely (cross-process reproducibility escape hatch).
-TEST(MxmRegistry, EnvForcedKernelPinsDispatch) {
-  ASSERT_EQ(setenv("TSEM_MXM_KERNEL", "generic", 1), 0);
-  tsem::detail::mxm_autotune_reset_for_testing();
-  tsem::mxm_autotune_init();
-  EXPECT_STREQ(tsem::mxm_selected_name(8, 8, 8), "generic");
-  EXPECT_STREQ(tsem::mxm_selected_name(12, 12, 144), "generic");
-  EXPECT_STREQ(tsem::mxm_selected_name(100, 7, 3), "generic");
-  const auto a = random_matrix(9, 9, 7);
-  const auto b = random_matrix(9, 9, 8);
-  std::vector<double> c_forced(81), c_direct(81);
-  tsem::mxm(a.data(), 9, b.data(), 9, c_forced.data(), 9);
-  mxm_generic(a.data(), 9, b.data(), 9, c_direct.data(), 9);
-  for (int i = 0; i < 81; ++i) ASSERT_EQ(c_forced[i], c_direct[i]);
-  unsetenv("TSEM_MXM_KERNEL");
-  tsem::detail::mxm_autotune_reset_for_testing();
-  tsem::mxm_autotune_init();  // leave the process on the tuned table
+  EXPECT_EQ(found, 1);
+  reg.reset();
 }
 
 // Fixed-(m,k,n) tier: covered shapes route to compile-time-extent
@@ -256,67 +298,6 @@ TEST(MxmFixed, FallbackShapesMatchGenericToFamilyBound) {
                   1e-12 * (1.0 + std::fabs(c_gen[i])))
           << "shape " << s.m << "x" << s.k << "x" << s.n << " entry " << i;
   }
-}
-
-// The "fixed" variant is an ordinary registry member (so the sweep tests
-// above already cover it); the AVX-512 family must appear iff the runtime
-// reports the ISA, and mxm_isa_runtime_name must be consistent with it.
-TEST(MxmRegistry, Avx512FamilyPresenceMatchesRuntime) {
-  const bool runtime_avx512 =
-      std::string_view(tsem::mxm_isa_runtime_name()) == "avx512";
-  const bool registered =
-      tsem::mxm_variant_by_name("avx512_b8x8") != nullptr;
-  if (registered) {
-    EXPECT_TRUE(runtime_avx512)
-        << "avx512 kernels registered without runtime support";
-    EXPECT_NE(tsem::mxm_variant_by_name("avx512_b4x16"), nullptr);
-  }
-  // "fixed" is unconditional.
-  EXPECT_NE(tsem::mxm_variant_by_name("fixed"), nullptr);
-}
-
-// A TSEM_MXM_KERNEL value naming no registered variant must NOT silently
-// fall back: the table still autotunes (dispatch keeps working), and the
-// fallback is observable — a pin_fallbacks count plus an event naming the
-// requested and actual kernels.
-TEST(MxmRegistry, UnknownKernelPinWarnsAndFallsBackObservably) {
-  if (!tsem::obs::enabled()) GTEST_SKIP() << "obs compiled out";
-  auto& reg = tsem::obs::MetricsRegistry::instance();
-  reg.reset();
-  ASSERT_EQ(setenv("TSEM_MXM_KERNEL", "no_such_kernel", 1), 0);
-  tsem::detail::mxm_autotune_reset_for_testing();
-  tsem::mxm_autotune_init();
-
-  // Dispatch still works and selects a real variant.
-  const char* sel = tsem::mxm_selected_name(8, 8, 8);
-  ASSERT_NE(tsem::mxm_variant_by_name(sel), nullptr);
-  const auto a = random_matrix(8, 8, 901);
-  const auto b = random_matrix(8, 8, 902);
-  const auto ref = reference_mxm(a, 8, b, 8, 8);
-  std::vector<double> c(64);
-  tsem::mxm(a.data(), 8, b.data(), 8, c.data(), 8);
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    ASSERT_NEAR(c[i], ref[i], 1e-12 * (1.0 + std::fabs(ref[i])));
-
-  EXPECT_GE(reg.counter("mxm/autotune/pin_fallbacks").value(), 1);
-  const tsem::obs::Json snap = reg.snapshot();
-  const auto& events = snap.find("events")->items();
-  bool found = false;
-  for (const auto& e : events) {
-    const auto* type = e.find("type");
-    if (!type || type->as_string() != "mxm_kernel_pin_fallback") continue;
-    found = true;
-    EXPECT_EQ(e.find("requested")->as_string(), "no_such_kernel");
-    EXPECT_NE(tsem::mxm_variant_by_name(
-                  e.find("actual")->as_string().c_str()),
-              nullptr);
-  }
-  EXPECT_TRUE(found) << "no mxm_kernel_pin_fallback event emitted";
-
-  unsetenv("TSEM_MXM_KERNEL");
-  tsem::detail::mxm_autotune_reset_for_testing();
-  tsem::mxm_autotune_init();
-  reg.reset();
 }
 
 TEST(Mxm, TransposedVariants) {

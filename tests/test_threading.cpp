@@ -9,18 +9,27 @@
 // gradient + dot-product reference (EXPECT_NEAR: FMA contraction makes
 // that comparison tolerance-based, not bitwise).
 //
+// The same NS case is also run in freshly exec'd processes at 1 and 4
+// threads and must land on one state_digest: nothing that picks kernels
+// or roundings may differ between processes of the same build.
+//
 // The file also overrides global operator new/delete with a counting
 // allocator to prove NavierStokes::step performs zero heap allocations
 // for field-length temporaries once the persistent scratch is warm.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
-#include <cstdint>
 #include <atomic>
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 #include <set>
+#include <string>
 #include <vector>
 
 #ifdef _OPENMP
@@ -42,7 +51,8 @@
 // Counting allocator: when g_track is set, every global allocation of at
 // least g_threshold bytes bumps g_hits.  Malloc-backed so the overrides
 // stay trivially correct; the sized/array delete forms forward to the
-// same free.
+// unsized one, which stays out of line: inlined, gcc would pair the free
+// with the operator new call it can see and warn of a mismatch.
 // ---------------------------------------------------------------------
 static std::atomic<bool> g_track{false};
 static std::atomic<long> g_hits{0};
@@ -57,10 +67,10 @@ void* operator new(std::size_t n) {
   return p;
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace {
 
@@ -320,19 +330,28 @@ void set_initial(tsem::NavierStokes& ns, const tsem::Mesh& m) {
   }
 }
 
+constexpr std::uint32_t kAllFaces = 0x3Fu;
+
+/// The small 3D NS case: order 5 on a 2x2x2 box, 5 steps.
+template <class F>
+void run_small_ns(F&& done) {
+  Space s = box3d(2, 5);
+  tsem::NavierStokes ns(s, kAllFaces, ns_options());
+  set_initial(ns, s.mesh());
+  for (int n = 0; n < 5; ++n) ns.step();
+  done(ns);
+}
+
 TEST(ThreadInvariance, NavierStokesStep) {
-  constexpr std::uint32_t kAllFaces = 0x3Fu;
   auto run = [&](int nthreads, std::vector<double>* out) {
-    Space s = box3d(2, 5);
-    tsem::NavierStokes ns(s, kAllFaces, ns_options());
-    set_initial(ns, s.mesh());
     with_threads(nthreads, [&] {
-      for (int n = 0; n < 5; ++n) ns.step();
+      run_small_ns([&](tsem::NavierStokes& ns) {
+        out[0] = ns.u(0);
+        out[1] = ns.u(1);
+        out[2] = ns.u(2);
+        out[3] = ns.pressure();
+      });
     });
-    out[0] = ns.u(0);
-    out[1] = ns.u(1);
-    out[2] = ns.u(2);
-    out[3] = ns.pressure();
   };
   std::vector<double> serial[4], threaded[4];
   run(1, serial);
@@ -341,8 +360,106 @@ TEST(ThreadInvariance, NavierStokesStep) {
     EXPECT_TRUE(bitwise_equal(serial[c], threaded[c])) << "field " << c;
 }
 
+// Child half of CrossProcess.NavierStokesDigestIsBitwiseReproducible:
+// the parent re-executes this binary with only this test selected.
+TEST(CrossProcess, DISABLED_PrintNavierStokesDigest) {
+  run_small_ns([](const tsem::NavierStokes& ns) {
+    std::printf("state_digest=%08x\n", ns.state_digest());
+  });
+}
+
+/// A re-executed copy of this test binary running only the child test
+/// above; its stdout comes back through `out`.
+struct DigestChild {
+  pid_t pid = -1;
+  int out = -1;
+};
+
+/// Start the child as a fresh image (nothing inherited from this
+/// process's state) with the environment stripped of every TSEM_* and
+/// OMP_* variable, then OMP_NUM_THREADS=nthreads.
+DigestChild start_digest_child(int nthreads) {
+  const std::string filter =
+      "--gtest_filter=CrossProcess.DISABLED_PrintNavierStokesDigest";
+  std::vector<std::string> env;
+  for (char** e = environ; *e != nullptr; ++e) {
+    const std::string kv(*e);
+    if (kv.rfind("TSEM_", 0) != 0 && kv.rfind("OMP_", 0) != 0)
+      env.push_back(kv);
+  }
+  env.push_back("OMP_NUM_THREADS=" + std::to_string(nthreads));
+  // Everything exec needs is built before fork: the child only dup2s and
+  // execs.
+  char exe[] = "/proc/self/exe";
+  char also[] = "--gtest_also_run_disabled_tests";
+  std::vector<char*> argv = {exe, const_cast<char*>(filter.c_str()), also,
+                             nullptr};
+  std::vector<char*> envp;
+  for (auto& kv : env) envp.push_back(kv.data());
+  envp.push_back(nullptr);
+
+  int fds[2];
+  if (::pipe(fds) != 0) return {};
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(fds[0]);
+    ::close(fds[1]);
+    return {};
+  }
+  if (pid == 0) {
+    ::dup2(fds[1], STDOUT_FILENO);
+    ::close(fds[0]);
+    ::close(fds[1]);
+    ::execve(exe, argv.data(), envp.data());
+    ::_exit(127);
+  }
+  ::close(fds[1]);
+  return {pid, fds[0]};
+}
+
+/// Collect the child's "state_digest=xxxxxxxx" line, or "" when it did
+/// not start, failed, or printed none.
+std::string finish_digest_child(const DigestChild& c) {
+  if (c.pid < 0) return "";
+  std::string out;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(c.out, buf, sizeof buf)) != 0;) {
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(c.out);
+  int status = 0;
+  while (::waitpid(c.pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) return "";
+  const auto at = out.find("state_digest=");
+  return at == std::string::npos ? "" : out.substr(at, 21);
+}
+
+// Default-build reproducibility across processes and thread counts: four
+// fresh processes (1 and 4 threads, twice each, no other TSEM_* or OMP_*
+// variables) must produce one state_digest.  exec, not a bare fork: a forked child would
+// inherit whatever this process already decided (kernel choices above
+// all) and hide a per-process difference.
+TEST(CrossProcess, NavierStokesDigestIsBitwiseReproducible) {
+  // The four children run concurrently, the way ctest -j runs suites.
+  const int threads[] = {1, 4, 1, 4};
+  std::vector<DigestChild> children;
+  for (int nt : threads) children.push_back(start_digest_child(nt));
+  std::vector<std::string> digests;
+  for (const auto& c : children) digests.push_back(finish_digest_child(c));
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    ASSERT_FALSE(digests[i].empty())
+        << "child at " << threads[i] << " threads printed no digest";
+    EXPECT_EQ(digests[i], digests.front())
+        << "child at " << threads[i] << " threads";
+  }
+}
+
 TEST(Allocation, SteadyStateStepIsAllocationFree) {
-  constexpr std::uint32_t kAllFaces = 0x3Fu;
   Space s = box3d(2, 6);  // nl = 8 * 343 = 2744, np = 8 * 125 = 1000
   tsem::NavierStokes ns(s, kAllFaces, ns_options());
   set_initial(ns, s.mesh());
