@@ -137,70 +137,110 @@ PressureSystem::PressureSystem(const Space& vspace, std::vector<double> vmask)
   }
 }
 
-void PressureSystem::divergence(const double* const* u, double* dp) const {
+// The three operators below are OpenMP element loops in the style of
+// apply_stiffness_local: element e zeroes and then accumulates into only
+// its own output block, in the same 0.0 += order as a serial sweep, with
+// scratch from the calling thread's work_ slab.  The static schedule is
+// therefore bitwise independent of the thread count.
+
+void PressureSystem::divergence_elem(int e, const double* const* u, double* dp,
+                                     double* work) const {
   const Mesh& m = vspace_->mesh();
   const int n1 = m.n1d();
-  const std::size_t nploc = nloc();
-  std::fill(dp, dp + nploc, 0.0);
-  double* work = work_.get(static_cast<std::size_t>(m.npe) * 4 + npe_);
+  const std::size_t off = static_cast<std::size_t>(e) * m.npe;
+  const std::size_t poff = static_cast<std::size_t>(e) * npe_;
   double* deriv = work + static_cast<std::size_t>(m.npe) * 4;
-  for (int e = 0; e < m.nelem; ++e) {
-    const std::size_t off = static_cast<std::size_t>(e) * m.npe;
-    const std::size_t poff = static_cast<std::size_t>(e) * npe_;
-    for (int c = 0; c < dim_; ++c) {
-      for (int j = 0; j < dim_; ++j) {
-        // derivative along reference direction j, at Gauss points
-        if (dim_ == 2) {
-          const double* ax = (j == 0) ? dg_.data() : ig_.data();
-          const double* ay = (j == 1) ? dg_.data() : ig_.data();
-          tensor2_apply(ax, ng1_, n1, ay, ng1_, n1, u[c] + off, deriv, work);
-        } else {
-          const double* ax = (j == 0) ? dg_.data() : ig_.data();
-          const double* ay = (j == 1) ? dg_.data() : ig_.data();
-          const double* az = (j == 2) ? dg_.data() : ig_.data();
-          tensor3_apply(ax, ng1_, n1, ay, ng1_, n1, az, ng1_, n1, u[c] + off,
-                        deriv, work);
-        }
-        const double* pgij = pgeo(c, j) + poff;
-        for (int q = 0; q < npe_; ++q) dp[poff + q] += pgij[q] * deriv[q];
+  // 3D stage buffers: u (x) dg and u (x) ig along x, then one y stage.
+  double* xd = work;
+  double* xi = work + m.npe;
+  double* yz = work + 2 * static_cast<std::size_t>(m.npe);
+  std::fill(dp + poff, dp + poff + npe_, 0.0);
+  for (int c = 0; c < dim_; ++c) {
+    const double* uc = u[c] + off;
+    // In 3D the x stage u (x) ig is common to the j = 1 and j = 2
+    // derivatives; compute it once.  Stages still run x -> y -> z with
+    // the same shapes, so every derivative is bitwise what tensor3_apply
+    // gives.
+    if (dim_ == 3) {
+      mxm_bt(uc, n1 * n1, dg_.data(), n1, xd, ng1_);
+      mxm_bt(uc, n1 * n1, ig_.data(), n1, xi, ng1_);
+    }
+    for (int j = 0; j < dim_; ++j) {
+      // derivative along reference direction j, at Gauss points
+      if (dim_ == 2) {
+        const double* ax = (j == 0) ? dg_.data() : ig_.data();
+        const double* ay = (j == 1) ? dg_.data() : ig_.data();
+        tensor2_apply(ax, ng1_, n1, ay, ng1_, n1, uc, deriv, work);
+      } else {
+        const double* x = (j == 0) ? xd : xi;
+        const double* ay = (j == 1) ? dg_.data() : ig_.data();
+        const double* az = (j == 2) ? dg_.data() : ig_.data();
+        for (int k = 0; k < n1; ++k)
+          mxm(ay, ng1_, x + static_cast<std::ptrdiff_t>(k) * n1 * ng1_, n1,
+              yz + static_cast<std::ptrdiff_t>(k) * ng1_ * ng1_, ng1_);
+        mxm(az, ng1_, yz, n1, deriv, ng1_ * ng1_);
       }
+      const double* pgij = pgeo(c, j) + poff;
+      for (int q = 0; q < npe_; ++q) dp[poff + q] += pgij[q] * deriv[q];
     }
   }
+}
+
+void PressureSystem::gradient_t_elem(int e, const double* p, double* const* w,
+                                     double* work) const {
+  const Mesh& m = vspace_->mesh();
+  const int n1 = m.n1d();
+  const std::size_t off = static_cast<std::size_t>(e) * m.npe;
+  const std::size_t poff = static_cast<std::size_t>(e) * npe_;
+  double* t = work + static_cast<std::size_t>(m.npe) * 4;
+  double* out = t + npe_;
+  for (int c = 0; c < dim_; ++c) std::fill(w[c] + off, w[c] + off + m.npe, 0.0);
+  for (int c = 0; c < dim_; ++c) {
+    for (int j = 0; j < dim_; ++j) {
+      const double* pgij = pgeo(c, j) + poff;
+      for (int q = 0; q < npe_; ++q) t[q] = pgij[q] * p[poff + q];
+      if (dim_ == 2) {
+        const double* ax = (j == 0) ? dgt_.data() : igt_.data();
+        const double* ay = (j == 1) ? dgt_.data() : igt_.data();
+        tensor2_apply(ax, n1, ng1_, ay, n1, ng1_, t, out, work);
+      } else {
+        const double* ax = (j == 0) ? dgt_.data() : igt_.data();
+        const double* ay = (j == 1) ? dgt_.data() : igt_.data();
+        const double* az = (j == 2) ? dgt_.data() : igt_.data();
+        tensor3_apply(ax, n1, ng1_, ay, n1, ng1_, az, n1, ng1_, t, out, work);
+      }
+      for (int q = 0; q < m.npe; ++q) w[c][off + q] += out[q];
+    }
+  }
+}
+
+std::size_t PressureSystem::elem_work_size() const {
+  const std::size_t vnpe = vspace_->mesh().npe;
+  return 4 * vnpe + npe_ + vnpe;
+}
+
+void PressureSystem::divergence(const double* const* u, double* dp) const {
+  const int nelem = vspace_->mesh().nelem;
+  const std::size_t nwork = elem_work_size();
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+  for (int e = 0; e < nelem; ++e)
+    divergence_elem(e, u, dp, work_.get(nwork));
 }
 
 void PressureSystem::gradient_t(const double* p, double* const* w) const {
-  const Mesh& m = vspace_->mesh();
-  const int n1 = m.n1d();
-  const std::size_t nl = m.nlocal();
-  for (int c = 0; c < dim_; ++c) std::fill(w[c], w[c] + nl, 0.0);
-  double* work = work_.get(static_cast<std::size_t>(m.npe) * 4 + npe_ + m.npe);
-  double* t = work + static_cast<std::size_t>(m.npe) * 4;
-  double* out = t + npe_;
-  for (int e = 0; e < m.nelem; ++e) {
-    const std::size_t off = static_cast<std::size_t>(e) * m.npe;
-    const std::size_t poff = static_cast<std::size_t>(e) * npe_;
-    for (int c = 0; c < dim_; ++c) {
-      for (int j = 0; j < dim_; ++j) {
-        const double* pgij = pgeo(c, j) + poff;
-        for (int q = 0; q < npe_; ++q) t[q] = pgij[q] * p[poff + q];
-        if (dim_ == 2) {
-          const double* ax = (j == 0) ? dgt_.data() : igt_.data();
-          const double* ay = (j == 1) ? dgt_.data() : igt_.data();
-          tensor2_apply(ax, n1, ng1_, ay, n1, ng1_, t, out, work);
-        } else {
-          const double* ax = (j == 0) ? dgt_.data() : igt_.data();
-          const double* ay = (j == 1) ? dgt_.data() : igt_.data();
-          const double* az = (j == 2) ? dgt_.data() : igt_.data();
-          tensor3_apply(ax, n1, ng1_, ay, n1, ng1_, az, n1, ng1_, t, out,
-                        work);
-        }
-        for (int q = 0; q < m.npe; ++q) w[c][off + q] += out[q];
-      }
-    }
-  }
+  const int nelem = vspace_->mesh().nelem;
+  const std::size_t nwork = elem_work_size();
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+  for (int e = 0; e < nelem; ++e)
+    gradient_t_elem(e, p, w, work_.get(nwork));
 }
 
 void PressureSystem::apply_E(const double* p, double* ep) const {
+  const obs::ScopedTimer timer("apply_E");
   const Mesh& m = vspace_->mesh();
   const std::size_t nl = m.nlocal();
   for (int c = 0; c < dim_; ++c)
@@ -208,12 +248,22 @@ void PressureSystem::apply_E(const double* p, double* ep) const {
   double* t[3] = {et_[0].data(), et_[1].data(),
                   dim_ == 3 ? et_[2].data() : nullptr};
   gradient_t(p, t);
-  const auto& bmi = vspace_->bm_inv();
-  for (int c = 0; c < dim_; ++c) {
-    vspace_->gs().op(t[c]);
-    for (std::size_t i = 0; i < nl; ++i) t[c][i] *= bmi[i] * vmask_[i];
+  for (int c = 0; c < dim_; ++c) vspace_->gs().op(t[c]);
+  // D with the B^{-1} mask scaling folded into each element's read: the
+  // element scales its own block of t just before differentiating it.
+  const double* bmi = vspace_->bm_inv().data();
+  const double* vmask = vmask_.data();
+  const std::size_t nwork = elem_work_size();
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+  for (int e = 0; e < m.nelem; ++e) {
+    const std::size_t off = static_cast<std::size_t>(e) * m.npe;
+    for (int c = 0; c < dim_; ++c)
+      for (std::size_t i = off; i < off + m.npe; ++i)
+        t[c][i] *= bmi[i] * vmask[i];
+    divergence_elem(e, t, ep, work_.get(nwork));
   }
-  divergence(t, ep);
 }
 
 void PressureSystem::remove_mean_plain(double* p) const {

@@ -87,12 +87,25 @@ class PressureSystem {
   // 1D coupling matrices: ig (Gauss x GLL interpolation), dg = ig * Dhat,
   // and their transposes.
   std::vector<double> ig_, dg_, igt_, dgt_;
+  // Per-thread element scratch: every OpenMP thread of the divergence,
+  // gradient_t and apply_E element loops takes its own slab of
+  // elem_work_size() doubles, so the loops share no scratch.
   mutable TensorWork work_;
-  // apply_E velocity-length temporaries (D^T p before B^{-1} masking),
-  // sized lazily on first use so E applications never allocate in steady
-  // state.  Kept out of work_ because gradient_t/divergence draw element
-  // scratch from that arena while these fields are live.
+  // apply_E's velocity-length fields (D^T p, then gs-summed and scaled by
+  // B^{-1} mask in place, element by element, as D reads them).  Sized
+  // lazily on first use so E applications never allocate in steady state.
+  // They hold whole fields across the gs exchange, so they cannot live in
+  // the per-element work_ slabs.
   mutable std::vector<double> et_[3];
+
+  /// Doubles of work_ scratch one element of any of the loops uses.
+  [[nodiscard]] std::size_t elem_work_size() const;
+  /// Element e of dp = D u: zeroes and fills dp's block e only.
+  void divergence_elem(int e, const double* const* u, double* dp,
+                       double* work) const;
+  /// Element e of w = D^T p: zeroes and fills block e of each w[c] only.
+  void gradient_t_elem(int e, const double* p, double* const* w,
+                       double* work) const;
 };
 
 struct PressureSolveOptions {

@@ -1,11 +1,17 @@
 #include "fleet/proc.hpp"
 
+#include <sched.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace tsem::fleet {
 
@@ -53,6 +59,29 @@ std::string wait_status_str(int status) {
   if (WIFSIGNALED(status))
     return "signal " + std::to_string(WTERMSIG(status));
   return "unknown wait status " + std::to_string(status);
+}
+
+int host_cores() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof set, &set) == 0 && CPU_COUNT(&set) > 0)
+    return CPU_COUNT(&set);
+  const long n = ::sysconf(_SC_NPROCESSORS_ONLN);
+  return n > 0 ? static_cast<int>(n) : 1;
+}
+
+int thread_budget(int inherited, int cores, int concurrency) {
+  const int share = std::max(1, cores / std::max(1, concurrency));
+  return std::max(1, std::min(inherited, share));
+}
+
+void apply_thread_budget(int concurrency) {
+#ifdef _OPENMP
+  omp_set_num_threads(
+      thread_budget(omp_get_max_threads(), host_cores(), concurrency));
+#else
+  (void)concurrency;
+#endif
 }
 
 }  // namespace tsem::fleet

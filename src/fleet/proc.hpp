@@ -15,6 +15,11 @@
 //     into a pipe with no reader and is killed by SIGPIPE unless the
 //     signal is ignored.  ignore_sigpipe() turns that death into a
 //     visible EPIPE the writer can classify (orphaned, not crashed).
+//
+// Both engines also fork several compute processes that share the host,
+// and a forked child inherits the parent's whole OpenMP team.
+// apply_thread_budget() gives each child its share of the cores so
+// concurrency x threads does not oversubscribe them.
 #pragma once
 
 #include <poll.h>
@@ -45,5 +50,19 @@ void ignore_sigpipe();
 
 /// Human-readable wait(2) status: "exit N" / "signal N".
 std::string wait_status_str(int status);
+
+/// Cores this process may run on: the size of its CPU affinity mask (the
+/// online CPU count when the mask cannot be read).  At least 1.
+int host_cores();
+
+/// OpenMP team for one of `concurrency` processes sharing `cores`:
+/// min(inherited, max(1, cores / concurrency)), never below 1.
+int thread_budget(int inherited, int cores, int concurrency);
+
+/// Set the calling process's OpenMP team to thread_budget(current team,
+/// host_cores(), concurrency); a no-op without OpenMP.  Called in every
+/// forked child of the fleet supervisor and of mp::MpSession, before the
+/// child runs any parallel region.
+void apply_thread_budget(int concurrency);
 
 }  // namespace tsem::fleet

@@ -240,10 +240,12 @@ bool run_fleet(const SweepSpec& spec, FleetReport* report, std::string* err) {
       return fail(err, std::string("fleet: fork: ") + std::strerror(errno));
     }
     if (pid == 0) {
-      // Child: drop every supervisor-side fd it inherited, then become
-      // the worker.  worker_main never returns.
+      // Child: drop every supervisor-side fd it inherited, take this
+      // worker's share of the cores, then become the worker.  worker_main
+      // never returns.
       ::close(p[0]);
       for (const Slot& s : slots) ::close(s.fd);
+      apply_thread_budget(opt.concurrency);
       worker_main(jobs[j], opt.workdir, p[1], attempt, cache.get(),
                   !rt[j].force_cold);
     }
@@ -662,6 +664,7 @@ void build_bench_report(const FleetReport& r, obs::BenchReport* rep) {
       c["setup_seconds"] = out.result.setup_seconds;
       c["step_seconds"] = out.result.step_seconds;
       c["cache"] = out.result.cache;
+      c["omp_threads"] = out.result.omp_threads;
     } else {
       c["failure"] = out.failure;
     }

@@ -8,6 +8,10 @@
 #include <cstdio>
 #include <cstdlib>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "fleet/proc.hpp"
 #include "fleet/setup_cache.hpp"
 #include "io/binfile.hpp"
@@ -381,6 +385,11 @@ void worker_main(const JobSpec& job, const std::string& workdir,
   result["setup_seconds"] = setup_seconds;
   result["step_seconds"] = seconds_since(t_steps0);
   result["cache"] = cache_tag;
+#ifdef _OPENMP
+  result["omp_threads"] = omp_get_max_threads();
+#else
+  result["omp_threads"] = 1;
+#endif
   const obs::Json snap = obs::MetricsRegistry::instance().snapshot();
   if (const obs::Json* counters = snap.find("counters"))
     result["counters"] = *counters;
@@ -427,6 +436,7 @@ bool read_job_result(const std::string& path, JobResult* out,
       !get_req_int(doc, "steps_done", &r.steps_done) ||
       !get_req_int(doc, "resumed_from_step", &r.resumed_from_step) ||
       !get_req_int(doc, "recovered_steps", &r.recovered_steps) ||
+      !get_req_int(doc, "omp_threads", &r.omp_threads) ||
       !get_req_double(doc, "final_time", &r.final_time) ||
       !get_req_double(doc, "kinetic_energy", &r.kinetic_energy) ||
       !get_req_double(doc, "divergence", &r.divergence) ||

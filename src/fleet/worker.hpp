@@ -97,6 +97,9 @@ struct JobResult {
   /// (supervisor forced cache off after an incident), "off" (cache
   /// disabled).
   std::string cache = "off";
+  /// OpenMP team the attempt ran with: the supervisor's per-worker
+  /// budget (fleet/proc.hpp apply_thread_budget).
+  int omp_threads = 1;
   obs::Json counters;         ///< worker-side obs counter snapshot
 };
 

@@ -167,6 +167,7 @@ bool MpSession::run(const std::function<int(MpRank&)>& fn,
       // never return into the caller's stack.
       ::close(p[0]);
       for (int k = 0; k < r; ++k) ::close(procs[k].fd);
+      fleet::apply_thread_budget(opt_.nranks);
       MpRank ctx;
       ctx.ctl_ = ctl_;
       ctx.allreduce_slots_ = allreduce_slots_;

@@ -22,6 +22,10 @@
 #include <string>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "fleet/proc.hpp"
 #include "fleet/spec.hpp"
 #include "fleet/supervisor.hpp"
@@ -547,6 +551,54 @@ TEST(Fleet, EndToEndFaultDrill) {
     EXPECT_EQ(out.result.steps_done, out.spec.steps);
     EXPECT_EQ(out.result.digest, base.at(out.spec.index)) << out.spec.name;
   }
+}
+
+// ---- Thread budget after fork ----------------------------------------
+//
+// A forked worker inherits the supervisor's whole OpenMP team; without a
+// budget, concurrency x team threads oversubscribe the cores and spinning
+// barriers starve the heartbeat watchdog.
+
+TEST(FleetProc, ThreadBudgetSharesCoresAndNeverExceedsInheritedTeam) {
+  using tsem::fleet::thread_budget;
+  EXPECT_EQ(thread_budget(8, 4, 4), 1);
+  EXPECT_EQ(thread_budget(8, 4, 2), 2);
+  EXPECT_EQ(thread_budget(8, 16, 3), 5);
+  EXPECT_EQ(thread_budget(2, 16, 2), 2);  // never above the inherited team
+  EXPECT_EQ(thread_budget(4, 4, 8), 1);   // more workers than cores
+  EXPECT_EQ(thread_budget(1, 1, 1), 1);
+  EXPECT_GE(tsem::fleet::host_cores(), 1);
+}
+
+TEST(Fleet, OversubscribedDefaultDrillBudgetsEveryWorker) {
+#ifdef _OPENMP
+  // The supervisor's team is deliberately 2 x cores: every worker must
+  // still run on its share, max(1, cores / concurrency), and no heartbeat
+  // may go silent under the 600 ms watchdog.
+  const int cores = tsem::fleet::host_cores();
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(2 * cores);
+  SweepSpec s = base_sweep("budget", "fleet_t_budget");
+  s.reynolds = {15.0, 20.0, 25.0, 30.0};
+  s.order = {3, 4};
+  s.base.steps = 8;
+  s.fleet.concurrency = 4;
+  s.fleet.watchdog_ms = 600;
+  ScopedEnv pace("TSEM_FLEET_STEP_SLEEP_US", "2000");
+  const FleetReport r = must_run(s);
+  omp_set_num_threads(saved);
+
+  EXPECT_EQ(r.completed, 8);
+  EXPECT_EQ(r.quarantined, 0);
+  EXPECT_EQ(r.hang_kills, 0);
+  const int budget = std::max(1, cores / s.fleet.concurrency);
+  for (const auto& out : r.jobs) {
+    ASSERT_TRUE(out.completed) << out.spec.name << ": " << out.failure;
+    EXPECT_EQ(out.result.omp_threads, budget) << out.spec.name;
+  }
+#else
+  GTEST_SKIP() << "compiled without OpenMP";
+#endif
 }
 
 // ---- Retry backoff (bounded, UB-free) -------------------------------
