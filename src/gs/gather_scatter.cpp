@@ -38,59 +38,61 @@ GatherScatter::GatherScatter(const std::int64_t* ids, std::size_t n) {
 
 namespace {
 
-template <typename T>
-inline T reduce_init(GsOp o) {
-  switch (o) {
-    case GsOp::Add: return T(0);
-    case GsOp::Mul: return T(1);
-    case GsOp::Min: return std::numeric_limits<T>::infinity();
-    case GsOp::Max: return -std::numeric_limits<T>::infinity();
+// Reduce-and-broadcast over the shared-id groups with AoS stride m.  One
+// walk over each group covers a chunk of up to Chunk components, so the
+// gather index list is traversed ceil(m / Chunk) times instead of m
+// times.  The reduction and the chunk width are template arguments so
+// the member loops carry no per-value GsOp switch and, for the scalar op
+// (Chunk = 1), no runtime component loop; either one makes the scalar op
+// several times slower than its memory traffic.
+template <int Chunk, typename T, typename Reduce>
+void reduce_groups(const std::int32_t* group_offset,
+                   const std::int32_t* gather_ix, std::size_t ng, T* u, int m,
+                   T init, Reduce reduce) {
+  constexpr int kGsChunk = Chunk;
+  const std::size_t sm = static_cast<std::size_t>(m);
+  for (int c0 = 0; c0 < m; c0 += kGsChunk) {
+    const int nc = kGsChunk == 1 ? 1 : std::min(kGsChunk, m - c0);
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) if (ng > kParallelMinItems)
+#endif
+    for (std::size_t g = 0; g < ng; ++g) {
+      const std::int32_t b = group_offset[g];
+      const std::int32_t e = group_offset[g + 1];
+      T acc[kGsChunk];
+      for (int c = 0; c < nc; ++c) acc[c] = init;
+      for (std::int32_t k = b; k < e; ++k) {
+        const T* row = u + static_cast<std::size_t>(gather_ix[k]) * sm + c0;
+        for (int c = 0; c < nc; ++c) acc[c] = reduce(acc[c], row[c]);
+      }
+      for (std::int32_t k = b; k < e; ++k) {
+        T* row = u + static_cast<std::size_t>(gather_ix[k]) * sm + c0;
+        for (int c = 0; c < nc; ++c) row[c] = acc[c];
+      }
+    }
   }
-  return T(0);
-}
-
-template <typename T>
-inline T reduce_apply(GsOp o, T a, T b) {
-  switch (o) {
-    case GsOp::Add: return a + b;
-    case GsOp::Mul: return a * b;
-    case GsOp::Min: return a < b ? a : b;
-    case GsOp::Max: return a > b ? a : b;
-  }
-  return a;
 }
 
 }  // namespace
 
-// Shared reduce-and-broadcast kernel for op (m == 1) and op_vec (AoS
-// stride m).  One walk over each group covers a chunk of up to
-// kGsChunk components, so the gather index list is traversed
-// ceil(m / kGsChunk) times instead of m times, and the scalar and
-// vector paths share one OpenMP guard.
+// The operation is dispatched once per call, outside the group walk.
 template <typename T>
 void GatherScatter::run_groups(T* u, int m, GsOp o) const {
-  constexpr int kGsChunk = 16;
   const std::size_t ng = ngroups();
-  const std::size_t sm = static_cast<std::size_t>(m);
-  for (int c0 = 0; c0 < m; c0 += kGsChunk) {
-    const int nc = std::min(kGsChunk, m - c0);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (ng > 4096)
-#endif
-    for (std::size_t g = 0; g < ng; ++g) {
-      const std::int32_t b = group_offset_[g];
-      const std::int32_t e = group_offset_[g + 1];
-      T acc[kGsChunk];
-      for (int c = 0; c < nc; ++c) acc[c] = reduce_init<T>(o);
-      for (std::int32_t k = b; k < e; ++k) {
-        const T* row = u + static_cast<std::size_t>(gather_ix_[k]) * sm + c0;
-        for (int c = 0; c < nc; ++c) acc[c] = reduce_apply<T>(o, acc[c], row[c]);
-      }
-      for (std::int32_t k = b; k < e; ++k) {
-        T* row = u + static_cast<std::size_t>(gather_ix_[k]) * sm + c0;
-        for (int c = 0; c < nc; ++c) row[c] = acc[c];
-      }
-    }
+  const std::int32_t* off = group_offset_.data();
+  const std::int32_t* ix = gather_ix_.data();
+  auto walk = [&](T init, auto reduce) {
+    if (m == 1)
+      reduce_groups<1>(off, ix, ng, u, m, init, reduce);
+    else
+      reduce_groups<16>(off, ix, ng, u, m, init, reduce);
+  };
+  constexpr T kInf = std::numeric_limits<T>::infinity();
+  switch (o) {
+    case GsOp::Add: walk(T(0), [](T a, T b) { return a + b; }); break;
+    case GsOp::Mul: walk(T(1), [](T a, T b) { return a * b; }); break;
+    case GsOp::Min: walk(kInf, [](T a, T b) { return a < b ? a : b; }); break;
+    case GsOp::Max: walk(-kInf, [](T a, T b) { return a > b ? a : b; }); break;
   }
   if constexpr (obs::kEnabled) {
     obs::count("gs/ops");

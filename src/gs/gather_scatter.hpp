@@ -28,6 +28,12 @@ namespace tsem {
 
 enum class GsOp { Add, Mul, Min, Max };
 
+/// Size below which the light per-item loops of the gather-scatter and
+/// the Schwarz apply (gs groups, ghost slots, coarse restriction dofs)
+/// stay serial: there an OpenMP region costs more than it saves, and
+/// under oversubscription each region's barrier can cost milliseconds.
+inline constexpr std::size_t kParallelMinItems = 4096;
+
 class GatherScatter {
  public:
   GatherScatter() = default;

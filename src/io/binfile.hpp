@@ -103,6 +103,9 @@ class ByteReader {
     if (!get(&n)) return false;
     if (n > (size_ - pos_) / sizeof(T)) return false;
     v->resize(static_cast<std::size_t>(n));
+    // An empty vector's data() may be null, and memcpy's pointers must
+    // not be even for a zero-byte copy.
+    if (n == 0) return true;
     std::memcpy(v->data(), data_ + pos_, n * sizeof(T));
     pos_ += static_cast<std::size_t>(n) * sizeof(T);
     return true;

@@ -1,46 +1,22 @@
 #include "mp/dist_schwarz.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace tsem::mp {
 
 DistGhost::DistGhost(const GhostExchange& gx,
                      const std::vector<int>& elem_rank, int nranks)
-    : dim_(gx.dim()),
-      ng1_(gx.ng1()),
-      nt_(gx.tang_slots()),
-      nlayers_(gx.nlayers()) {
+    : map_(gx.slot_map()), nlayers_(gx.nlayers()) {
   npe_press_ = 1;
-  for (int d = 0; d < dim_; ++d) npe_press_ *= static_cast<std::size_t>(ng1_);
+  for (int d = 0; d < gx.dim(); ++d)
+    npe_press_ *= static_cast<std::size_t>(gx.ng1());
   // The anchor-id gather-scatter is the whole exchange; its dense ids
   // preserve the sharing structure, and slots are element-major with
   // 2*dim*nt per element, so the generic dist-gs builder applies as-is.
-  plan_ = build_dist_gs(gx.gather_scatter().dense_id(), 2 * dim_ * nt_,
-                        elem_rank, nranks);
-}
-
-std::size_t DistGhost::donor_node(std::size_t slot, int layer) const {
-  // GhostExchange::donor_node with a rank-local element index — same
-  // index math, local e.
-  const int t = static_cast<int>(slot % static_cast<std::size_t>(nt_));
-  const int f = static_cast<int>((slot / static_cast<std::size_t>(nt_)) %
-                                 static_cast<std::size_t>(2 * dim_));
-  const std::size_t e =
-      slot / (static_cast<std::size_t>(nt_) * 2 * static_cast<std::size_t>(dim_));
-  const int axis = f / 2;
-  const int side = f % 2;
-  int idx[3] = {0, 0, 0};
-  idx[axis] = side == 0 ? layer : ng1_ - 1 - layer;
-  if (dim_ == 2) {
-    idx[1 - axis] = t;
-    return (e * ng1_ + idx[1]) * ng1_ + idx[0];
-  }
-  int taxes[2], ti = 0;
-  for (int d = 0; d < 3; ++d)
-    if (d != axis) taxes[ti++] = d;
-  idx[taxes[0]] = t % ng1_;
-  idx[taxes[1]] = t / ng1_;
-  return ((e * ng1_ + idx[2]) * ng1_ + idx[1]) * ng1_ + idx[0];
+  plan_ = build_dist_gs(gx.gather_scatter().dense_id(),
+                        static_cast<int>(map_.per_layer), elem_rank, nranks);
 }
 
 bool DistGhost::exchange_begin(int rank, MpRank& ctx, const GsChannels& ch,
@@ -52,10 +28,14 @@ bool DistGhost::exchange_begin(int rank, MpRank& ctx, const GsChannels& ch,
   for (int l = 0; l < nlayers_; ++l) {
     double* own = s.own.data() + static_cast<std::size_t>(l) * ns;
     double* buf = s.buf.data() + static_cast<std::size_t>(l) * ns;
-    for (std::size_t slot = 0; slot < ns; ++slot) {
-      own[slot] = p[donor_node(slot, l)];
-      buf[slot] = own[slot];
+    const std::size_t spl = map_.per_layer;
+    const std::int32_t* donor =
+        map_.donor.data() + static_cast<std::size_t>(l) * spl;
+    for (std::size_t s0 = 0, e = 0; s0 < ns; s0 += spl, ++e) {
+      const double* pe = p + e * npe_press_;
+      for (std::size_t k = 0; k < spl; ++k) own[s0 + k] = pe[donor[k]];
     }
+    std::copy(own, own + ns, buf);
     // All layers' messages go out before any boundary wait; the per-nbr
     // channels are rings with >= nlayers slots, so nothing blocks here.
     if (!dist_gs_begin(rk, ctx, ch, buf, GsOp::Add, s.gs)) return false;
@@ -96,8 +76,7 @@ void DistGhost::extract_ghost(int rank, const std::int32_t* elems,
                               const Scratch& s) const {
   const DistGsRank& rk = plan_.ranks[static_cast<std::size_t>(rank)];
   const std::size_t ns = rk.nlocal;
-  const std::size_t spe =
-      static_cast<std::size_t>(2 * dim_) * static_cast<std::size_t>(nt_);
+  const std::size_t spe = map_.per_layer;
   for (std::size_t i = 0; i < nelems; ++i) {
     const std::size_t s0 = static_cast<std::size_t>(elems[i]) * spe;
     for (int l = 0; l < nlayers_; ++l) {
@@ -132,8 +111,14 @@ bool DistGhost::scatter_add(int rank, MpRank& ctx, const GsChannels& ch,
     // compute to hide, so no multi-layer in-flight window is needed.
     if (!dist_gs_op(rk, ctx, ch, s.buf.data(), GsOp::Add, s.gs))
       return false;
-    for (std::size_t slot = 0; slot < ns; ++slot)
-      p[donor_node(slot, l)] += s.buf[slot] - s.own[slot];
+    const std::size_t spl = map_.per_layer;
+    const std::int32_t* donor =
+        map_.donor.data() + static_cast<std::size_t>(l) * spl;
+    for (std::size_t s0 = 0, e = 0; s0 < ns; s0 += spl, ++e) {
+      double* pe = p + e * npe_press_;
+      for (std::size_t k = 0; k < spl; ++k)
+        pe[donor[k]] += s.buf[s0 + k] - s.own[s0 + k];
+    }
   }
   return true;
 }

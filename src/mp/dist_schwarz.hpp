@@ -5,9 +5,9 @@
 // The production exchange is per layer a pure gather-scatter over the
 // face-anchor ids (ghost = gs(buf) - own), so the distributed version
 // rides entirely on the dist_gs bitwise contract: slot values are packed
-// from the rank-local pressure field with the same donor_node index math
-// (local element indices), the anchor gs runs over mp channels, and the
-// subtraction is elementwise.  Executed ghost volumes are therefore
+// from the rank-local pressure field through the same GhostSlotMap donor
+// offsets (local element indices), the anchor gs runs over mp channels,
+// and the subtraction is elementwise.  Executed ghost volumes are therefore
 // BITWISE equal to the single-process exchange restricted to the rank's
 // elements.
 //
@@ -41,9 +41,6 @@ class DistGhost {
   }
   /// Pressure dofs per element (ng1^dim).
   [[nodiscard]] std::size_t npress_per_elem() const { return npe_press_; }
-
-  /// Rank-local donor_node: pressure dof of (local slot, layer).
-  [[nodiscard]] std::size_t donor_node(std::size_t slot, int layer) const;
 
   struct Scratch {
     std::vector<double> own;  ///< one layer's packed donor values
@@ -85,7 +82,8 @@ class DistGhost {
 
  private:
   DistGsPlan plan_;
-  int dim_, ng1_, nt_, nlayers_;
+  GhostSlotMap map_;  // copied: the plan may outlive the GhostExchange
+  int nlayers_;
   std::size_t npe_press_;
 };
 

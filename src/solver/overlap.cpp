@@ -1,6 +1,6 @@
 #include "solver/overlap.hpp"
 
-#include <array>
+#include <algorithm>
 
 #include "common/check.hpp"
 #include "mesh/point_numberer.hpp"
@@ -10,6 +10,38 @@
 
 namespace tsem {
 
+GhostSlotMap::GhostSlotMap(int dim, int ng1, int nlayers) {
+  TSEM_REQUIRE(dim == 2 || dim == 3);
+  TSEM_REQUIRE(ng1 >= 1 && nlayers >= 0);
+  const int nt = dim == 2 ? ng1 : ng1 * ng1;
+  const int m1 = ng1 + 2 * nlayers;
+  per_layer = static_cast<std::size_t>(2 * dim) * nt;
+  donor.reserve(static_cast<std::size_t>(nlayers) * per_layer);
+  local.reserve(donor.capacity());
+  for (int l = 0; l < nlayers; ++l)
+    for (int f = 0; f < 2 * dim; ++f) {
+      const int axis = f / 2, side = f % 2;
+      for (int t = 0; t < nt; ++t) {
+        // Normal axis: layer l inside the face (donor) and the l-th ghost
+        // point outside it (local).  Tangential axes ascending, lower
+        // axis fastest, shifted past the low ghost layers in the local
+        // grid.
+        int di[3] = {0, 0, 0}, li[3] = {0, 0, 0};
+        di[axis] = side == 0 ? l : ng1 - 1 - l;
+        li[axis] = side == 0 ? nlayers - 1 - l : nlayers + ng1 + l;
+        int rem = t;
+        for (int d = 0; d < dim; ++d) {
+          if (d == axis) continue;
+          di[d] = rem % ng1;
+          li[d] = nlayers + rem % ng1;
+          rem /= ng1;
+        }
+        donor.push_back((di[2] * ng1 + di[1]) * ng1 + di[0]);
+        local.push_back((li[2] * m1 + li[1]) * m1 + li[0]);
+      }
+    }
+}
+
 GhostExchange::GhostExchange(const PressureSystem& psys, int nlayers)
     : GhostExchange(psys.vspace().mesh(), psys.ng1(), nlayers) {}
 
@@ -17,9 +49,7 @@ GhostExchange::GhostExchange(const Mesh& m, int ng1, int nlayers)
     : dim_(m.dim), ng1_(ng1), nlayers_(nlayers) {
   TSEM_REQUIRE(nlayers_ >= 1 && nlayers_ <= ng1_);
   const int n1 = m.n1d();
-  nt_ = 1;
-  for (int d = 1; d < dim_; ++d) nt_ *= ng1_;
-  nslots_ = static_cast<std::size_t>(m.nelem) * 2 * dim_ * nt_;
+  init_layout(m.nelem);
 
   const auto& ig = gll_to_gauss(m.order, ng1_);  // ng1 x n1
   const double diag = m.bbox_diag();
@@ -84,10 +114,20 @@ GhostExchange::GhostExchange(const Mesh& m, int ng1, int nlayers)
     }
   }
   gs_ = GatherScatter(ids);
+}
+
+void GhostExchange::init_layout(int nelem) {
+  nt_ = 1;
+  npe_ = static_cast<std::size_t>(ng1_);
+  for (int d = 1; d < dim_; ++d) {
+    nt_ *= ng1_;
+    npe_ *= static_cast<std::size_t>(ng1_);
+  }
+  nelem_ = nelem;
+  nslots_ = static_cast<std::size_t>(nelem) * 2 * dim_ * nt_;
+  map_ = GhostSlotMap(dim_, ng1_, nlayers_);
   buf_.resize(nslots_);
-  own_.resize(nslots_);
   buf32_.resize(nslots_);
-  own32_.resize(nslots_);
 }
 
 CommProfile GhostExchange::comm_profile(const std::vector<int>& elem_rank,
@@ -114,92 +154,93 @@ std::unique_ptr<GhostExchange> GhostExchange::deserialize(ByteReader& r,
   gx->dim_ = dim;
   gx->ng1_ = ng1;
   gx->nlayers_ = nlayers;
-  gx->nt_ = 1;
-  for (int d = 1; d < dim; ++d) gx->nt_ *= ng1;
-  gx->nslots_ = static_cast<std::size_t>(m.nelem) * 2 * dim * gx->nt_;
+  gx->init_layout(m.nelem);
   if (!gx->gs_.deserialize(r)) return nullptr;
   // The gather-scatter must cover exactly one anchor id per slot; a
   // shape mismatch (different mesh than the one serialized) shows up
   // here even though the ids themselves carry no coordinates.
   if (gx->gs_.nlocal() != gx->nslots_) return nullptr;
-  gx->buf_.resize(gx->nslots_);
-  gx->own_.resize(gx->nslots_);
-  gx->buf32_.resize(gx->nslots_);
-  gx->own32_.resize(gx->nslots_);
   return gx;
 }
 
-std::size_t GhostExchange::donor_node(std::size_t slot, int layer) const {
-  const int t = static_cast<int>(slot % nt_);
-  const int f = static_cast<int>((slot / nt_) % (2 * dim_));
-  const std::size_t e = slot / (static_cast<std::size_t>(nt_) * 2 * dim_);
-  const int axis = f / 2;
-  const int side = f % 2;
-  int idx[3] = {0, 0, 0};
-  idx[axis] = side == 0 ? layer : ng1_ - 1 - layer;
-  if (dim_ == 2) {
-    idx[1 - axis] = t;
-    return (e * ng1_ + idx[1]) * ng1_ + idx[0];
+namespace {
+
+void gs_run(const GatherScatter& gs, double* u) { gs.op(u); }
+void gs_run(const GatherScatter& gs, float* u) { gs.op_f32(u); }
+
+}  // namespace
+
+// Element-major passes: each element packs from / accumulates into its
+// own pressure block only, and visits its slots in map order, so any
+// static split of the elements over threads yields the serial result bit
+// for bit.  The gather-scatter reduction in between is unchanged.  Below
+// kParallelMinItems slots the passes run serially.
+template <typename T>
+void GhostExchange::exchange_impl(const double* p, T* ghost, T* buf) const {
+  const std::size_t spl = map_.per_layer;
+  for (int l = 0; l < nlayers_; ++l) {
+    const std::int32_t* donor =
+        map_.donor.data() + static_cast<std::size_t>(l) * spl;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) if (nslots_ > kParallelMinItems)
+#endif
+    for (int e = 0; e < nelem_; ++e) {
+      const double* pe = p + static_cast<std::size_t>(e) * npe_;
+      T* b = buf + static_cast<std::size_t>(e) * spl;
+      for (std::size_t k = 0; k < spl; ++k) b[k] = static_cast<T>(pe[donor[k]]);
+    }
+    gs_run(gs_, buf);
+    T* g = ghost + static_cast<std::size_t>(l) * nslots_;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) if (nslots_ > kParallelMinItems)
+#endif
+    for (int e = 0; e < nelem_; ++e) {
+      const double* pe = p + static_cast<std::size_t>(e) * npe_;
+      const std::size_t s0 = static_cast<std::size_t>(e) * spl;
+      for (std::size_t k = 0; k < spl; ++k)
+        g[s0 + k] = buf[s0 + k] - static_cast<T>(pe[donor[k]]);
+    }
   }
-  int taxes[2], ti = 0;
-  for (int d = 0; d < 3; ++d)
-    if (d != axis) taxes[ti++] = d;
-  idx[taxes[0]] = t % ng1_;
-  idx[taxes[1]] = t / ng1_;
-  return ((e * ng1_ + idx[2]) * ng1_ + idx[1]) * ng1_ + idx[0];
+}
+
+// FP64 accumulate on restore: with T = float the contributions are
+// promoted before touching the double field.
+template <typename T>
+void GhostExchange::scatter_add_impl(const T* v, double* p, T* buf) const {
+  const std::size_t spl = map_.per_layer;
+  for (int l = 0; l < nlayers_; ++l) {
+    const std::int32_t* donor =
+        map_.donor.data() + static_cast<std::size_t>(l) * spl;
+    const T* g = v + static_cast<std::size_t>(l) * nslots_;
+    std::copy(g, g + nslots_, buf);
+    gs_run(gs_, buf);
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) if (nslots_ > kParallelMinItems)
+#endif
+    for (int e = 0; e < nelem_; ++e) {
+      double* pe = p + static_cast<std::size_t>(e) * npe_;
+      const std::size_t s0 = static_cast<std::size_t>(e) * spl;
+      for (std::size_t k = 0; k < spl; ++k)
+        pe[donor[k]] +=
+            static_cast<double>(buf[s0 + k]) - static_cast<double>(g[s0 + k]);
+    }
+  }
 }
 
 void GhostExchange::exchange(const double* p, double* ghost) const {
-  for (int l = 0; l < nlayers_; ++l) {
-    for (std::size_t s = 0; s < nslots_; ++s) {
-      own_[s] = p[donor_node(s, l)];
-      buf_[s] = own_[s];
-    }
-    gs_.op(buf_.data());
-    double* g = ghost + static_cast<std::size_t>(l) * nslots_;
-    for (std::size_t s = 0; s < nslots_; ++s) g[s] = buf_[s] - own_[s];
-  }
+  exchange_impl(p, ghost, buf_.data());
 }
 
 void GhostExchange::scatter_add(const double* v, double* p) const {
-  for (int l = 0; l < nlayers_; ++l) {
-    const double* g = v + static_cast<std::size_t>(l) * nslots_;
-    for (std::size_t s = 0; s < nslots_; ++s) {
-      own_[s] = g[s];
-      buf_[s] = g[s];
-    }
-    gs_.op(buf_.data());
-    for (std::size_t s = 0; s < nslots_; ++s)
-      p[donor_node(s, l)] += buf_[s] - own_[s];
-  }
+  scatter_add_impl(v, p, buf_.data());
 }
 
 void GhostExchange::exchange(const double* p, float* ghost) const {
-  for (int l = 0; l < nlayers_; ++l) {
-    for (std::size_t s = 0; s < nslots_; ++s) {
-      own32_[s] = static_cast<float>(p[donor_node(s, l)]);
-      buf32_[s] = own32_[s];
-    }
-    gs_.op_f32(buf32_.data());
-    float* g = ghost + static_cast<std::size_t>(l) * nslots_;
-    for (std::size_t s = 0; s < nslots_; ++s) g[s] = buf32_[s] - own32_[s];
-  }
+  exchange_impl(p, ghost, buf32_.data());
 }
 
 void GhostExchange::scatter_add(const float* v, double* p) const {
-  for (int l = 0; l < nlayers_; ++l) {
-    const float* g = v + static_cast<std::size_t>(l) * nslots_;
-    for (std::size_t s = 0; s < nslots_; ++s) {
-      own32_[s] = g[s];
-      buf32_[s] = g[s];
-    }
-    gs_.op_f32(buf32_.data());
-    // FP64 accumulate on restore: the float contributions are promoted
-    // before touching the double field.
-    for (std::size_t s = 0; s < nslots_; ++s)
-      p[donor_node(s, l)] +=
-          static_cast<double>(buf32_[s]) - static_cast<double>(own32_[s]);
-  }
+  scatter_add_impl(v, p, buf32_.data());
 }
 
 }  // namespace tsem

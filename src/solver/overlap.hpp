@@ -15,6 +15,7 @@
 // axes); layers are stored as consecutive nslots-sized blocks.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -22,6 +23,29 @@
 #include "gs/gather_scatter.hpp"
 
 namespace tsem {
+
+/// Per-element ghost-slot map (DESIGN.md "Schwarz apply threading"):
+/// the slot -> grid index math of the overlap exchange, computed once
+/// from (dim, ng1, nlayers) so every loop that moves ghost values reads
+/// two offsets instead of redoing axis/tangential div-mods per slot.
+///
+/// Element slot k = (l * 2*dim + f) * nt + t covers layer l, face f and
+/// tangential index t (the slot layout above, layer-major):
+///   donor[k]  offset of the dof that layer l of face f exchanges, in the
+///             element's ng1^dim pressure block;
+///   local[k]  offset of the matching ghost point in the element's
+///             (ng1 + 2*nlayers)^dim extended subdomain grid.
+/// Both are element-relative, so the same map serves the global field,
+/// a rank-local field and the batched subdomain staging alike.
+struct GhostSlotMap {
+  GhostSlotMap() = default;
+  GhostSlotMap(int dim, int ng1, int nlayers);
+
+  /// Slots per element per layer (2*dim * ng1^(dim-1)).
+  std::size_t per_layer = 0;
+  std::vector<std::int32_t> donor;
+  std::vector<std::int32_t> local;
+};
 
 class GhostExchange {
  public:
@@ -34,17 +58,20 @@ class GhostExchange {
   [[nodiscard]] int nlayers() const { return nlayers_; }
   /// Slots per layer (= nelem * 2*dim * ng1^(dim-1)).
   [[nodiscard]] std::size_t nslots() const { return nslots_; }
-  // Geometry of the slot layout, exposed so a rank-local executor
-  // (mp/dist_schwarz.hpp) can replicate donor_node() with local element
+  // Geometry of the slot layout; a rank-local executor
+  // (mp/dist_schwarz.hpp) reads the same slot map with local element
   // indices.
   [[nodiscard]] int dim() const { return dim_; }
   [[nodiscard]] int ng1() const { return ng1_; }
   /// Tangential slots per face (ng1^(dim-1)).
   [[nodiscard]] int tang_slots() const { return nt_; }
+  /// Donor/ghost-point offsets of every slot of an element.
+  [[nodiscard]] const GhostSlotMap& slot_map() const { return map_; }
 
   /// Fill ghost[l*nslots + slot] with the neighbor's layer-l value
   /// adjacent to each face (0 beyond physical boundaries), reading from
-  /// the pressure field p.
+  /// the pressure field p.  The pack and extract passes are OpenMP
+  /// element loops; results are bitwise thread-count invariant.
   void exchange(const double* p, double* ghost) const;
 
   /// Reverse path: v[l*nslots + slot] holds this element's local-solve
@@ -60,9 +87,6 @@ class GhostExchange {
   /// the double field.
   void exchange(const double* p, float* ghost) const;
   void scatter_add(const float* v, double* p) const;
-
-  /// Local pressure dof index for (slot, layer) — the donor node.
-  [[nodiscard]] std::size_t donor_node(std::size_t slot, int layer) const;
 
   /// The underlying anchor-id gather-scatter (one op per layer per
   /// exchange/scatter_add pass).
@@ -86,16 +110,25 @@ class GhostExchange {
 
  private:
   GhostExchange() = default;
+  /// Set the slot geometry and size the staging buffers (both ctors).
+  void init_layout(int nelem);
+  // The FP64/FP32 bodies of exchange and scatter_add (T = staging type).
+  template <typename T>
+  void exchange_impl(const double* p, T* ghost, T* buf) const;
+  template <typename T>
+  void scatter_add_impl(const T* v, double* p, T* buf) const;
 
   int dim_, ng1_, nlayers_;
   int nt_;  // tangential slots per face
+  int nelem_;
+  std::size_t npe_;  // pressure dofs per element (ng1^dim)
   std::size_t nslots_;
+  GhostSlotMap map_;
   GatherScatter gs_;
+  // One layer's gather-scatter staging; the float twin serves the FP32
+  // overloads.
   mutable std::vector<double> buf_;
-  mutable std::vector<double> own_;
-  // Float twins of the staging buffers, for the FP32 overloads.
   mutable std::vector<float> buf32_;
-  mutable std::vector<float> own32_;
 };
 
 }  // namespace tsem

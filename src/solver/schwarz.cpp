@@ -96,9 +96,8 @@ std::vector<FdmLocal> build_schwarz_fdm(const Mesh& m, int ng1, int overlap,
 }
 
 SchwarzLocalSolver::SchwarzLocalSolver(const Mesh& m, int ng1, int overlap)
-    : dim_(m.dim), ng1_(ng1), ov_(overlap) {
+    : dim_(m.dim), ng1_(ng1), ov_(overlap), map_(m.dim, ng1, overlap) {
   m1_ = ng1_ + 2 * ov_;
-  nt_ = dim_ == 2 ? ng1_ : ng1_ * ng1_;
   npe_ = 1;
   for (int d = 0; d < dim_; ++d) npe_ *= static_cast<std::size_t>(ng1_);
   nle_ = 1;
@@ -119,7 +118,7 @@ void SchwarzLocalSolver::solve_elems(const std::int32_t* elems,
     const int ge = elems[i];
     const std::size_t be = static_cast<std::size_t>(blk ? blk[i] : elems[i]);
     const std::size_t poff = be * npe_;
-    const std::size_t soff = be * static_cast<std::size_t>(2 * dim_) * nt_;
+    const std::size_t soff = be * map_.per_layer;
     // Gather: own dofs into the interior, ghost strips on the faces, the
     // Dirichlet ring stays zero — same fill as SchwarzPrecond's
     // gather_residual, with `be` indexing the field arrays.
@@ -135,27 +134,11 @@ void SchwarzLocalSolver::solve_elems(const std::int32_t* elems,
             rloc[((k + ov_) * m1_ + (j + ov_)) * m1_ + (i1 + ov_)] =
                 r[poff + (k * ng1_ + j) * ng1_ + i1];
     }
-    for (int f = 0; f < 2 * dim_; ++f) {
-      const int axis = f / 2, side = f % 2;
-      for (int l = 0; l < ov_; ++l) {
-        for (int t = 0; t < nt_; ++t) {
-          const std::size_t slot = soff + static_cast<std::size_t>(f) * nt_ + t;
-          const double gv = ghost[static_cast<std::size_t>(l) * nslots + slot];
-          int idx[3] = {0, 0, 0};
-          idx[axis] = (side == 0) ? (ov_ - 1 - l) : (ov_ + ng1_ + l);
-          if (dim_ == 2) {
-            idx[1 - axis] = ov_ + t;
-            rloc[idx[1] * m1_ + idx[0]] = gv;
-          } else {
-            int taxes[2], ti = 0;
-            for (int d = 0; d < 3; ++d)
-              if (d != axis) taxes[ti++] = d;
-            idx[taxes[0]] = ov_ + t % ng1_;
-            idx[taxes[1]] = ov_ + t / ng1_;
-            rloc[(idx[2] * m1_ + idx[1]) * m1_ + idx[0]] = gv;
-          }
-        }
-      }
+    const std::size_t spl = map_.per_layer;
+    for (int l = 0; l < ov_; ++l) {
+      const std::size_t k0 = static_cast<std::size_t>(l) * spl;
+      const double* g = ghost + static_cast<std::size_t>(l) * nslots + soff;
+      for (std::size_t k = 0; k < spl; ++k) rloc[map_.local[k0 + k]] = g[k];
     }
 
     fdm_[static_cast<std::size_t>(fdm_of_[static_cast<std::size_t>(ge)])]
@@ -173,28 +156,10 @@ void SchwarzLocalSolver::solve_elems(const std::int32_t* elems,
             z[poff + (k * ng1_ + j) * ng1_ + i1] +=
                 zloc[((k + ov_) * m1_ + (j + ov_)) * m1_ + (i1 + ov_)];
     }
-    for (int f = 0; f < 2 * dim_; ++f) {
-      const int axis = f / 2, side = f % 2;
-      for (int l = 0; l < ov_; ++l) {
-        for (int t = 0; t < nt_; ++t) {
-          const std::size_t slot = soff + static_cast<std::size_t>(f) * nt_ + t;
-          int idx[3] = {0, 0, 0};
-          idx[axis] = (side == 0) ? (ov_ - 1 - l) : (ov_ + ng1_ + l);
-          double v;
-          if (dim_ == 2) {
-            idx[1 - axis] = ov_ + t;
-            v = zloc[idx[1] * m1_ + idx[0]];
-          } else {
-            int taxes[2], ti = 0;
-            for (int d = 0; d < 3; ++d)
-              if (d != axis) taxes[ti++] = d;
-            idx[taxes[0]] = ov_ + t % ng1_;
-            idx[taxes[1]] = ov_ + t / ng1_;
-            v = zloc[(idx[2] * m1_ + idx[1]) * m1_ + idx[0]];
-          }
-          vout[static_cast<std::size_t>(l) * nslots + slot] = v;
-        }
-      }
+    for (int l = 0; l < ov_; ++l) {
+      const std::size_t k0 = static_cast<std::size_t>(l) * spl;
+      double* v = vout + static_cast<std::size_t>(l) * nslots + soff;
+      for (std::size_t k = 0; k < spl; ++k) v[k] = zloc[map_.local[k0 + k]];
     }
   }
 }
@@ -360,6 +325,7 @@ void SchwarzPrecond::build_coarse() {
   }
   cb_.resize(m.nvert);
   cx_.resize(m.nvert);
+  csum_.resize(m.vert_id.size());
 
   // Bilinear corner weights at the Gauss points (reference element).
   const auto& g = gauss_nodes(ng1_);
@@ -389,9 +355,10 @@ void SchwarzPrecond::gather_residual(const double* r, const T* ghost,
                                      T* batch_r) const {
   const Mesh& m = psys_->vspace().mesh();
   const int npe = psys_->npe();
-  const int ov = opt_.overlap;
+  const int ov = opt_.overlap;  // > 0 exactly when ghosts_ is set
   const std::size_t nslots = ghosts_ ? ghosts_->nslots() : 0;
-  const int nt = dim_ == 2 ? ng1_ : ng1_ * ng1_;
+  const GhostSlotMap* map = ghosts_ ? &ghosts_->slot_map() : nullptr;
+  const std::size_t spl = map ? map->per_layer : 0;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static)
 #endif
@@ -413,37 +380,18 @@ void SchwarzPrecond::gather_residual(const double* r, const T* ghost,
                 static_cast<T>(r[poff + (k * ng1_ + j) * ng1_ + i]);
     }
     // Ghost strips.
-    if (ghosts_) {
-      for (int f = 0; f < 2 * dim_; ++f) {
-        const int axis = f / 2, side = f % 2;
-        for (int l = 0; l < ov; ++l) {
-          for (int t = 0; t < nt; ++t) {
-            const std::size_t slot =
-                (static_cast<std::size_t>(e) * 2 * dim_ + f) * nt + t;
-            const T gv = ghost[static_cast<std::size_t>(l) * nslots + slot];
-            int idx[3] = {0, 0, 0};
-            idx[axis] = (side == 0) ? (ov - 1 - l) : (ov + ng1_ + l);
-            if (dim_ == 2) {
-              idx[1 - axis] = ov + t;
-              rloc[idx[1] * m1_ + idx[0]] = gv;
-            } else {
-              int taxes[2], ti = 0;
-              for (int d = 0; d < 3; ++d)
-                if (d != axis) taxes[ti++] = d;
-              idx[taxes[0]] = ov + t % ng1_;
-              idx[taxes[1]] = ov + t / ng1_;
-              rloc[(idx[2] * m1_ + idx[1]) * m1_ + idx[0]] = gv;
-            }
-          }
-        }
-      }
+    for (int l = 0; l < ov; ++l) {
+      const std::size_t k0 = static_cast<std::size_t>(l) * spl;
+      const T* g = ghost + static_cast<std::size_t>(l) * nslots +
+                   static_cast<std::size_t>(e) * spl;
+      for (std::size_t k = 0; k < spl; ++k) rloc[map->local[k0 + k]] = g[k];
     }
   }
 }
 
-// Scatter pass of apply(): local solutions back onto the pressure dofs
-// (FP64 accumulate — the promotion to double happens before the += when
-// T = float) and into the ghost return staging.
+// Scatter pass of apply(): local solutions onto the pressure dofs, which
+// it overwrites (promoted to double first when T = float), and into the
+// ghost return staging.
 template <typename T>
 void SchwarzPrecond::scatter_solution(const T* batch_z, T* vout,
                                       double* z) const {
@@ -451,52 +399,36 @@ void SchwarzPrecond::scatter_solution(const T* batch_z, T* vout,
   const int npe = psys_->npe();
   const int ov = opt_.overlap;
   const std::size_t nslots = ghosts_ ? ghosts_->nslots() : 0;
-  const int nt = dim_ == 2 ? ng1_ : ng1_ * ng1_;
+  const GhostSlotMap* map = ghosts_ ? &ghosts_->slot_map() : nullptr;
+  const std::size_t spl = map ? map->per_layer : 0;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static)
 #endif
   for (int e = 0; e < m.nelem; ++e) {
     const T* zloc = batch_z + static_cast<std::size_t>(slot_of_[e]) * nle_;
     const std::size_t poff = static_cast<std::size_t>(e) * npe;
-    // Scatter own part.
+    // Own part, which starts z: each sum begins at 0.0 (not at the local
+    // value) so a -0.0 lands as +0.0 before the ghost and coarse terms
+    // accumulate onto it.
     if (dim_ == 2) {
       for (int j = 0; j < ng1_; ++j)
         for (int i = 0; i < ng1_; ++i)
-          z[poff + j * ng1_ + i] +=
-              static_cast<double>(zloc[(j + ov) * m1_ + (i + ov)]);
+          z[poff + j * ng1_ + i] =
+              0.0 + static_cast<double>(zloc[(j + ov) * m1_ + (i + ov)]);
     } else {
       for (int k = 0; k < ng1_; ++k)
         for (int j = 0; j < ng1_; ++j)
           for (int i = 0; i < ng1_; ++i)
-            z[poff + (k * ng1_ + j) * ng1_ + i] += static_cast<double>(
-                zloc[((k + ov) * m1_ + (j + ov)) * m1_ + (i + ov)]);
+            z[poff + (k * ng1_ + j) * ng1_ + i] =
+                0.0 + static_cast<double>(
+                          zloc[((k + ov) * m1_ + (j + ov)) * m1_ + (i + ov)]);
     }
     // Ghost parts routed back to the neighbors.
-    if (ghosts_) {
-      for (int f = 0; f < 2 * dim_; ++f) {
-        const int axis = f / 2, side = f % 2;
-        for (int l = 0; l < ov; ++l) {
-          for (int t = 0; t < nt; ++t) {
-            const std::size_t slot =
-                (static_cast<std::size_t>(e) * 2 * dim_ + f) * nt + t;
-            int idx[3] = {0, 0, 0};
-            idx[axis] = (side == 0) ? (ov - 1 - l) : (ov + ng1_ + l);
-            T v;
-            if (dim_ == 2) {
-              idx[1 - axis] = ov + t;
-              v = zloc[idx[1] * m1_ + idx[0]];
-            } else {
-              int taxes[2], ti = 0;
-              for (int d = 0; d < 3; ++d)
-                if (d != axis) taxes[ti++] = d;
-              idx[taxes[0]] = ov + t % ng1_;
-              idx[taxes[1]] = ov + t / ng1_;
-              v = zloc[(idx[2] * m1_ + idx[1]) * m1_ + idx[0]];
-            }
-            vout[static_cast<std::size_t>(l) * nslots + slot] = v;
-          }
-        }
-      }
+    for (int l = 0; l < ov; ++l) {
+      const std::size_t k0 = static_cast<std::size_t>(l) * spl;
+      T* v = vout + static_cast<std::size_t>(l) * nslots +
+             static_cast<std::size_t>(e) * spl;
+      for (std::size_t k = 0; k < spl; ++k) v[k] = zloc[map->local[k0 + k]];
     }
   }
 }
@@ -518,11 +450,11 @@ void SchwarzPrecond::apply(const double* r, double* z) const {
       return;
     }
   }
-  std::fill(z, z + nloc, 0.0);
 
   obs::count("schwarz/applies");
   if (fp32) obs::count("schwarz/fp32_applies");
   if (ghosts_) {
+    const obs::ScopedTimer timer_exchange("exchange");
     if (fp32)
       ghosts_->exchange(r, ghost32_.data());
     else
@@ -588,24 +520,35 @@ void SchwarzPrecond::apply(const double* r, double* z) const {
   timer_local.stop();
 
   // Coarse-grid contribution (always FP64, whatever the local precision).
+  // Restriction in two passes: per-(element, corner) weighted sums in
+  // parallel, then the serial accumulation onto shared vertices in (e, c)
+  // order.  Prolongation writes each element's own block.  Small fields
+  // stay serial (kParallelMinItems).
   if (coarse_) {
     const obs::ScopedTimer timer_coarse("coarse");
     const int npe = psys_->npe();
-    std::fill(cb_.begin(), cb_.end(), 0.0);
     const int ncorner = 1 << dim_;
+    const bool par = nloc > kParallelMinItems;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) if (par)
+#endif
     for (int e = 0; e < m.nelem; ++e) {
       const std::size_t poff = static_cast<std::size_t>(e) * npe;
-      const std::int64_t* v =
-          &m.vert_id[static_cast<std::size_t>(e) * ncorner];
       for (int c = 0; c < ncorner; ++c) {
         const double* w = r0w_.data() + static_cast<std::size_t>(c) * npe;
         double s = 0.0;
         for (int q = 0; q < npe; ++q) s += w[q] * r[poff + q];
-        cb_[v[c]] += s;
+        csum_[static_cast<std::size_t>(e) * ncorner + c] = s;
       }
     }
+    std::fill(cb_.begin(), cb_.end(), 0.0);
+    for (std::size_t ec = 0; ec < csum_.size(); ++ec)
+      cb_[m.vert_id[ec]] += csum_[ec];
     cb_[0] = 0.0;  // pinned vertex
     coarse_->solve(cb_.data(), cx_.data());
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) if (par)
+#endif
     for (int e = 0; e < m.nelem; ++e) {
       const std::size_t poff = static_cast<std::size_t>(e) * npe;
       const std::int64_t* v =

@@ -72,7 +72,9 @@ class SchwarzLocalSolver {
                    double* work) const;
 
  private:
-  int dim_, ng1_, ov_, m1_, nt_;
+  int dim_, ng1_, ov_;
+  GhostSlotMap map_;  // ghost points of the (ng1 + 2*overlap)^dim grid
+  int m1_;
   std::size_t npe_, nle_;
   std::vector<FdmLocal> fdm_;
   std::vector<int> fdm_of_;
@@ -184,6 +186,7 @@ class SchwarzPrecond {
   std::unique_ptr<CoarseSolver> coarse_;
   std::vector<double> r0w_;  // (2^dim x npe) bilinear weights at Gauss pts
   mutable std::vector<double> cb_, cx_;
+  mutable std::vector<double> csum_;  // per-(element, corner) restrictions
 
   mutable std::vector<double> ghost_, vout_;
   /// Per-thread FDM batch workspace (3 * kBatch * nle_ doubles per

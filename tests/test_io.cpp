@@ -109,6 +109,43 @@ TEST(BinFile, ContainerRoundTripsAndRejectsTornPrefixes) {
   std::remove(path.c_str());
 }
 
+TEST(BinFile, EmptyPodVectorsRoundTrip) {
+  // Zero-length payloads between non-empty ones: the reader must leave
+  // empty vectors empty (whatever they held before) and stay aligned on
+  // the fields that follow.
+  tsem::ByteWriter w;
+  w.put_pod_vec(std::vector<double>{});
+  w.put_pod_vec(std::vector<std::int32_t>{});
+  w.put<std::uint32_t>(0x5eedu);
+  w.put_bytes({});
+  w.put_pod_vec(std::vector<float>{1.5f, -2.0f});
+  w.put_pod_vec(std::vector<std::int64_t>{});
+  const auto bytes = w.take();
+
+  tsem::ByteReader rd(bytes);
+  std::vector<double> d{9.0};
+  std::vector<std::int32_t> i32{7};
+  std::uint32_t tag = 0;
+  std::vector<std::uint8_t> raw{1, 2};
+  std::vector<float> f;
+  std::vector<std::int64_t> i64;
+  ASSERT_TRUE(rd.get_pod_vec(&d));
+  EXPECT_TRUE(d.empty());
+  ASSERT_TRUE(rd.get_pod_vec(&i32));
+  EXPECT_TRUE(i32.empty());
+  ASSERT_TRUE(rd.get(&tag));
+  EXPECT_EQ(tag, 0x5eedu);
+  ASSERT_TRUE(rd.get_bytes(&raw));
+  EXPECT_TRUE(raw.empty());
+  ASSERT_TRUE(rd.get_pod_vec(&f));
+  EXPECT_EQ(f, (std::vector<float>{1.5f, -2.0f}));
+  ASSERT_TRUE(rd.get_pod_vec(&i64));
+  EXPECT_TRUE(i64.empty());
+  EXPECT_TRUE(rd.exhausted());
+  // The reader never runs past the end, not even for one more empty read.
+  EXPECT_FALSE(rd.get_pod_vec(&i64));
+}
+
 TEST(Vtk, WritesParsableUnstructuredGrid2D) {
   auto spec = tsem::box_spec_2d(tsem::linspace(0, 1, 2),
                                 tsem::linspace(0, 1, 2));

@@ -2,16 +2,24 @@
 // consistent Poisson operator E.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <type_traits>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "core/pressure.hpp"
 #include "core/space.hpp"
 #include "mesh/build.hpp"
 #include "mesh/spec.hpp"
+#include "obs/metrics.hpp"
+#include "poly/basis1d.hpp"
 #include "solver/cg.hpp"
 #include "solver/overlap.hpp"
 #include "solver/precision.hpp"
@@ -286,6 +294,351 @@ TEST(Schwarz, Works3D) {
   SchwarzOptions opt;
   const int schwarz = solve_iterations(p, &opt, 1e-6);
   EXPECT_LT(schwarz, plain);
+}
+
+// ---------------------------------------------------------------------
+// Serial reference: the ghost exchange, local-solve staging and coarse
+// loops as they stood before they went element-parallel — per-slot donor
+// and ghost-point index math, one shared own/buf staging pair, and the
+// serial restriction/prolongation sweeps.  The library's threaded,
+// slot-map-driven loops must reproduce them bit for bit.
+// ---------------------------------------------------------------------
+
+std::size_t ref_donor_node(const tsem::GhostExchange& gx, std::size_t slot,
+                           int layer) {
+  const int nt = gx.tang_slots(), dim = gx.dim(), ng1 = gx.ng1();
+  const int t = static_cast<int>(slot % nt);
+  const int f = static_cast<int>((slot / nt) % (2 * dim));
+  const std::size_t e = slot / (static_cast<std::size_t>(nt) * 2 * dim);
+  const int axis = f / 2;
+  const int side = f % 2;
+  int idx[3] = {0, 0, 0};
+  idx[axis] = side == 0 ? layer : ng1 - 1 - layer;
+  if (dim == 2) {
+    idx[1 - axis] = t;
+    return (e * ng1 + idx[1]) * ng1 + idx[0];
+  }
+  int taxes[2], ti = 0;
+  for (int d = 0; d < 3; ++d)
+    if (d != axis) taxes[ti++] = d;
+  idx[taxes[0]] = t % ng1;
+  idx[taxes[1]] = t / ng1;
+  return ((e * ng1 + idx[2]) * ng1 + idx[1]) * ng1 + idx[0];
+}
+
+void ref_gs(const tsem::GatherScatter& gs, double* u) { gs.op(u); }
+void ref_gs(const tsem::GatherScatter& gs, float* u) { gs.op_f32(u); }
+
+template <typename T>
+void ref_exchange(const tsem::GhostExchange& gx, const double* p, T* ghost) {
+  const std::size_t ns = gx.nslots();
+  std::vector<T> own(ns), buf(ns);
+  for (int l = 0; l < gx.nlayers(); ++l) {
+    for (std::size_t s = 0; s < ns; ++s) {
+      own[s] = static_cast<T>(p[ref_donor_node(gx, s, l)]);
+      buf[s] = own[s];
+    }
+    ref_gs(gx.gather_scatter(), buf.data());
+    T* g = ghost + static_cast<std::size_t>(l) * ns;
+    for (std::size_t s = 0; s < ns; ++s) g[s] = buf[s] - own[s];
+  }
+}
+
+template <typename T>
+void ref_scatter_add(const tsem::GhostExchange& gx, const T* v, double* p) {
+  const std::size_t ns = gx.nslots();
+  std::vector<T> own(ns), buf(ns);
+  for (int l = 0; l < gx.nlayers(); ++l) {
+    const T* g = v + static_cast<std::size_t>(l) * ns;
+    for (std::size_t s = 0; s < ns; ++s) {
+      own[s] = g[s];
+      buf[s] = g[s];
+    }
+    ref_gs(gx.gather_scatter(), buf.data());
+    for (std::size_t s = 0; s < ns; ++s)
+      p[ref_donor_node(gx, s, l)] +=
+          static_cast<double>(buf[s]) - static_cast<double>(own[s]);
+  }
+}
+
+// Extended-grid offset of ghost slot (f, l, t) of an element.
+int ref_ghost_point(int dim, int ng1, int ov, int f, int l, int t) {
+  const int m1 = ng1 + 2 * ov;
+  const int axis = f / 2, side = f % 2;
+  int idx[3] = {0, 0, 0};
+  idx[axis] = (side == 0) ? (ov - 1 - l) : (ov + ng1 + l);
+  if (dim == 2) {
+    idx[1 - axis] = ov + t;
+    return idx[1] * m1 + idx[0];
+  }
+  int taxes[2], ti = 0;
+  for (int d = 0; d < 3; ++d)
+    if (d != axis) taxes[ti++] = d;
+  idx[taxes[0]] = ov + t % ng1;
+  idx[taxes[1]] = ov + t / ng1;
+  return (idx[2] * m1 + idx[1]) * m1 + idx[0];
+}
+
+/// z = M^{-1} r of a default FDM SchwarzPrecond (overlap 1, coarse on),
+/// serially, with T = double (FP64 local path) or float (FP32).  The
+/// batch layout is the library's: elements grouped by factorization in
+/// first-appearance order, chunks of <= 16.
+template <typename T>
+std::vector<double> ref_apply(const PressureSystem& ps,
+                              const SchwarzPrecond& pre, const double* r) {
+  const tsem::Mesh& m = ps.vspace().mesh();
+  const tsem::GhostExchange& gx = *pre.ghost_exchange();
+  const int dim = m.dim, ng1 = ps.ng1(), npe = ps.npe(), ov = 1;
+  const int m1 = ng1 + 2 * ov, nt = gx.tang_slots();
+  std::size_t nle = 1;
+  for (int d = 0; d < dim; ++d) nle *= static_cast<std::size_t>(m1);
+  const std::size_t ns = gx.nslots();
+
+  std::vector<double> z(ps.nloc(), 0.0);
+  std::vector<T> ghost(ns), vout(ns);
+  ref_exchange(gx, r, ghost.data());
+
+  std::vector<int> fdm_of;
+  const auto fdm = tsem::build_schwarz_fdm(m, ng1, ov, &fdm_of);
+  std::vector<std::vector<int>> groups(fdm.size());
+  for (int e = 0; e < m.nelem; ++e) groups[fdm_of[e]].push_back(e);
+  constexpr int kBatch = 16;
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    for (std::size_t i0 = 0; i0 < groups[gi].size(); i0 += kBatch) {
+      const int count =
+          static_cast<int>(std::min<std::size_t>(kBatch, groups[gi].size() - i0));
+      std::vector<T> br(count * nle, T(0)), bz(count * nle),
+          work(3 * count * nle);
+      for (int b = 0; b < count; ++b) {
+        const int e = groups[gi][i0 + b];
+        T* rloc = br.data() + b * nle;
+        const std::size_t poff = static_cast<std::size_t>(e) * npe;
+        for (int q = 0; q < npe; ++q) {
+          int i = q % ng1, j = (q / ng1) % ng1, k = q / (ng1 * ng1);
+          const int o = dim == 2 ? (j + ov) * m1 + (i + ov)
+                                 : ((k + ov) * m1 + (j + ov)) * m1 + (i + ov);
+          rloc[o] = static_cast<T>(r[poff + q]);
+        }
+        for (int f = 0; f < 2 * dim; ++f)
+          for (int l = 0; l < ov; ++l)
+            for (int t = 0; t < nt; ++t) {
+              const std::size_t slot =
+                  (static_cast<std::size_t>(e) * 2 * dim + f) * nt + t;
+              rloc[ref_ghost_point(dim, ng1, ov, f, l, t)] =
+                  ghost[static_cast<std::size_t>(l) * ns + slot];
+            }
+      }
+      if constexpr (std::is_same_v<T, float>)
+        fdm[gi].solve_batch_f32(br.data(), bz.data(), count, work.data());
+      else
+        fdm[gi].solve_batch(br.data(), bz.data(), count, work.data());
+      for (int b = 0; b < count; ++b) {
+        const int e = groups[gi][i0 + b];
+        const T* zloc = bz.data() + b * nle;
+        const std::size_t poff = static_cast<std::size_t>(e) * npe;
+        for (int q = 0; q < npe; ++q) {
+          int i = q % ng1, j = (q / ng1) % ng1, k = q / (ng1 * ng1);
+          const int o = dim == 2 ? (j + ov) * m1 + (i + ov)
+                                 : ((k + ov) * m1 + (j + ov)) * m1 + (i + ov);
+          z[poff + q] += static_cast<double>(zloc[o]);
+        }
+        for (int f = 0; f < 2 * dim; ++f)
+          for (int l = 0; l < ov; ++l)
+            for (int t = 0; t < nt; ++t) {
+              const std::size_t slot =
+                  (static_cast<std::size_t>(e) * 2 * dim + f) * nt + t;
+              vout[static_cast<std::size_t>(l) * ns + slot] =
+                  zloc[ref_ghost_point(dim, ng1, ov, f, l, t)];
+            }
+      }
+    }
+  }
+  ref_scatter_add(gx, vout.data(), z.data());
+
+  // Coarse term: bilinear corner weights at the Gauss points, serial
+  // restriction onto the vertices, XXT solve, serial prolongation.
+  const auto& g = tsem::gauss_nodes(ng1);
+  const int ncorner = 1 << dim;
+  std::vector<double> r0w(static_cast<std::size_t>(ncorner) * npe);
+  for (int c = 0; c < ncorner; ++c)
+    for (int q = 0; q < npe; ++q) {
+      double w = 1.0;
+      int rem = q;
+      for (int d = 0; d < dim; ++d) {
+        const double gd = g[rem % ng1];
+        rem /= ng1;
+        w *= ((c >> d) & 1) ? 0.5 * (1.0 + gd) : 0.5 * (1.0 - gd);
+      }
+      r0w[static_cast<std::size_t>(c) * npe + q] = w;
+    }
+  std::vector<double> cb(m.nvert, 0.0), cx(m.nvert);
+  for (int e = 0; e < m.nelem; ++e) {
+    const std::size_t poff = static_cast<std::size_t>(e) * npe;
+    const std::int64_t* v = &m.vert_id[static_cast<std::size_t>(e) * ncorner];
+    for (int c = 0; c < ncorner; ++c) {
+      const double* w = r0w.data() + static_cast<std::size_t>(c) * npe;
+      double s = 0.0;
+      for (int q = 0; q < npe; ++q) s += w[q] * r[poff + q];
+      cb[v[c]] += s;
+    }
+  }
+  cb[0] = 0.0;
+  pre.coarse()->solve(cb.data(), cx.data());
+  for (int e = 0; e < m.nelem; ++e) {
+    const std::size_t poff = static_cast<std::size_t>(e) * npe;
+    const std::int64_t* v = &m.vert_id[static_cast<std::size_t>(e) * ncorner];
+    for (int c = 0; c < ncorner; ++c) {
+      const double* w = r0w.data() + static_cast<std::size_t>(c) * npe;
+      const double xc = cx[v[c]];
+      for (int q = 0; q < npe; ++q) z[poff + q] += w[q] * xc;
+    }
+  }
+  return z;
+}
+
+template <typename T>
+bool bitwise_equal(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+/// Run f at `nthreads` OpenMP threads, restoring the calling team after.
+template <typename F>
+void at_threads(int nthreads, F&& f) {
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(nthreads);
+#endif
+  f();
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
+
+int team_size() {
+#ifdef _OPENMP
+  return omp_get_max_threads();
+#else
+  return 1;
+#endif
+}
+
+template <typename T>
+void expect_ghost_bitwise(const tsem::GhostExchange& gx, std::size_t np,
+                          int nthreads) {
+  const std::size_t nv = static_cast<std::size_t>(gx.nlayers()) * gx.nslots();
+  const auto pv = random_vec(np, 61);
+  const auto v64 = random_vec(nv, 67);
+  const std::vector<T> v(v64.begin(), v64.end());
+  const auto base = random_vec(np, 71);  // scatter_add accumulates onto it
+
+  std::vector<T> gref(nv), ggot(nv, T(1));
+  std::vector<double> pref = base, pgot = base;
+  ref_exchange(gx, pv.data(), gref.data());
+  ref_scatter_add(gx, v.data(), pref.data());
+  at_threads(nthreads, [&] {
+    gx.exchange(pv.data(), ggot.data());
+    gx.scatter_add(v.data(), pgot.data());
+  });
+  const char* prec = std::is_same_v<T, float> ? "FP32" : "FP64";
+  EXPECT_TRUE(bitwise_equal(gref, ggot))
+      << "exchange " << prec << ", nlayers " << gx.nlayers() << ", "
+      << nthreads << "t";
+  EXPECT_TRUE(bitwise_equal(pref, pgot))
+      << "scatter_add " << prec << ", nlayers " << gx.nlayers() << ", "
+      << nthreads << "t";
+}
+
+void expect_schwarz_bitwise(const PressureSystem& ps) {
+  // Large enough that the threaded loops really run threaded.
+  ASSERT_GT(ps.nloc(), tsem::kParallelMinItems);
+  for (int nlayers : {1, 2}) {
+    const tsem::GhostExchange gx(ps, nlayers);
+    ASSERT_GT(gx.nslots(), tsem::kParallelMinItems);
+    for (int nt : {1, team_size()}) {
+      expect_ghost_bitwise<double>(gx, ps.nloc(), nt);
+      expect_ghost_bitwise<float>(gx, ps.nloc(), nt);
+    }
+  }
+  for (auto precision :
+       {tsem::PrecondPrecision::Fp64, tsem::PrecondPrecision::Fp32}) {
+    SchwarzOptions opt;
+    opt.precision = precision;
+    const SchwarzPrecond pre(ps, opt);
+    ASSERT_EQ(pre.precision(), precision);
+    const auto r = random_vec(ps.nloc(), 73);
+    const auto zref = precision == tsem::PrecondPrecision::Fp32
+                          ? ref_apply<float>(ps, pre, r.data())
+                          : ref_apply<double>(ps, pre, r.data());
+    for (int nt : {1, team_size()}) {
+      std::vector<double> z(ps.nloc(), 1.0);  // stale data apply overwrites
+      at_threads(nt, [&] { pre.apply(r.data(), z.data()); });
+      EXPECT_TRUE(bitwise_equal(zref, z))
+          << "apply " << tsem::precond_precision_name(precision) << ", " << nt
+          << "t";
+    }
+  }
+}
+
+TEST(SchwarzThreading, Deformed2DMatchesSerialReferenceBitwise) {
+  // Curved, graded annulus, 2 x 71 = 142 elements: the static schedule
+  // splits them unevenly at 3 and at 4 threads.
+  auto spec = tsem::annulus_spec(0.8, 2.0, 2, 71, 1.3);
+  Space s(build_mesh(spec, 9));
+  PressureSystem ps(s, s.make_mask(0x3));
+  expect_schwarz_bitwise(ps);
+}
+
+TEST(SchwarzThreading, Deformed3DMatchesSerialReferenceBitwise) {
+  // Bump channel, 11 x 2 x 1 = 22 elements: the static schedule splits
+  // them unevenly at 3 and at 4 threads.
+  auto spec = tsem::bump_channel_spec(tsem::linspace(0, 4, 11),
+                                      tsem::linspace(0, 2, 2),
+                                      tsem::linspace(0, 1, 1), 2.0, 1.0, 0.6,
+                                      0.2);
+  Space s(build_mesh(spec, 7));
+  PressureSystem ps(s, s.make_mask(0x3F));
+  expect_schwarz_bitwise(ps);
+}
+
+// The three phases of an apply (ghost exchange, local solves incl. the
+// reverse exchange, coarse solve) carry their own timers, and together
+// they account for nearly all of schwarz/apply.
+TEST(SchwarzTiming, PhaseTimersCoverApply) {
+  if (!tsem::obs::enabled()) GTEST_SKIP() << "obs compiled out";
+  auto spec = tsem::bump_channel_spec(tsem::linspace(0, 2, 4),
+                                      tsem::linspace(0, 2, 2),
+                                      tsem::linspace(0, 1, 2), 1.0, 1.0, 0.6,
+                                      0.2);
+  Space s(build_mesh(spec, 8));
+  PressureSystem p(s, s.make_mask(0x3F));
+  SchwarzOptions opt;
+  const SchwarzPrecond prec(p, opt);
+  const std::size_t n = p.nloc();
+  auto pstar = random_vec(n, 79);
+  p.remove_mean_plain(pstar.data());
+  std::vector<double> g(n), dp(n);
+  p.apply_E(pstar.data(), g.data());
+  tsem::PressureSolveOptions sopt;
+  sopt.tol = 1e-8;
+
+  auto& reg = tsem::obs::MetricsRegistry::instance();
+  reg.reset();
+  const auto res = tsem::solve_pressure(
+      p, [&](const double* r, double* z) { prec.apply(r, z); }, nullptr,
+      g.data(), dp.data(), sopt);
+  ASSERT_TRUE(res.cg.converged);
+  const std::string apply = "time/pressure/solve/schwarz/apply";
+  const auto& total = reg.histogram(apply);
+  ASSERT_EQ(total.count(), res.precond_count);
+  double children = 0.0;
+  for (const char* child : {"exchange", "local", "coarse"}) {
+    const auto& h = reg.histogram(apply + "/" + child);
+    EXPECT_EQ(h.count(), res.precond_count) << child;
+    children += h.sum();
+  }
+  EXPECT_GE(children, 0.9 * total.sum())
+      << "children " << children << " s of " << total.sum() << " s";
 }
 
 }  // namespace
