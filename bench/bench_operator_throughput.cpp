@@ -36,7 +36,6 @@
 #include "mesh/spec.hpp"
 #include "obs/bench_report.hpp"
 #include "poly/filter.hpp"
-#include "solver/precision.hpp"
 #include "solver/schwarz.hpp"
 #include "tensor/kernels_simd.hpp"
 #include "tensor/mxm.hpp"
@@ -175,8 +174,6 @@ int main(int argc, char** argv) {
   report.meta()["simd_available"] = tsem::simd_available();
   report.meta()["isa"] = tsem::simd_isa_name();
   report.meta()["isa_runtime"] = tsem::mxm_isa_runtime_name();
-  report.meta()["precision_env"] =
-      tsem::precond_precision_name(tsem::precond_precision_from_env());
   report.meta()["mxm_small"] = tsem::mxm_selected_name(n1, n1, n1);
   report.meta()["mxm_long"] = tsem::mxm_selected_name(n1, n1, n1 * n1);
   report.meta()["mxm_bt"] = tsem::mxm_bt_selected_name();

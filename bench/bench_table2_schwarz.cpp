@@ -13,7 +13,6 @@
 // the inner circle.  Expected shape: FDM iterations comparable to FEM
 // N_o = 1, overlap reduces iterations (N_o = 3 < 1 < 0), FDM fastest in
 // cpu, and A0 = 0 blowing up the count by several-fold, growing with K.
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -30,7 +29,6 @@
 #include "ns/navier_stokes.hpp"
 #include "obs/bench_report.hpp"
 #include "solver/cg.hpp"
-#include "solver/precision.hpp"
 #include "solver/schwarz.hpp"
 
 namespace {
@@ -119,94 +117,22 @@ void run_mesh(const tsem::MeshSpec2D& spec, int order) {
   fem3.overlap = 3;
   nocoarse.use_coarse = false;  // FDM local solves, A0 = 0
 
-  // FP32-preconditioned FDM row (DESIGN.md "Precision policy"): same
-  // outer FP64 PCG, local solves + ghost staging demoted.  Read against
-  // the fdm row: iterations must sit within the +2 contract.
-  SchwarzOptions fdm32 = fdm;
-  fdm32.precision = tsem::PrecondPrecision::Fp32;
-
   const auto r_fdm = run_case(psys, g, fdm);
-  const auto r_fdm32 = run_case(psys, g, fdm32);
   const auto r0 = run_case(psys, g, fem0);
   const auto r1 = run_case(psys, g, fem1);
   const auto r3 = run_case(psys, g, fem3);
   const auto rnc = run_case(psys, g, nocoarse);
 
   record_case(m.nelem, "fdm", r_fdm);
-  record_case(m.nelem, "fdm_fp32", r_fdm32);
   record_case(m.nelem, "fem_no0", r0);
   record_case(m.nelem, "fem_no1", r1);
   record_case(m.nelem, "fem_no3", r3);
   record_case(m.nelem, "a0_off", rnc);
 
   std::printf(
-      "%6d | %5d %7.2f | %5d %7.2f | %5d %7.2f | %5d %7.2f | %5d %7.2f | "
-      "%5d %7.2f\n",
-      m.nelem, r_fdm.iters, r_fdm.cpu, r_fdm32.iters, r_fdm32.cpu, r0.iters,
-      r0.cpu, r1.iters, r1.cpu, r3.iters, r3.cpu, rnc.iters, rnc.cpu);
-}
-
-// Preconditioner-apply throughput at order 16 (ISSUE acceptance): the
-// FP32 Schwarz/FDM apply against the FP64 apply on the same coarse-mesh
-// system — halved local-solve flops-width and ghost bytes should buy
-// >= 1.3x applies/second.
-void run_apply_throughput(int order) {
-  auto spec = tsem::annulus_spec(0.5, 10.0, 3, 31, 2.5);
-  tsem::Space space(tsem::build_mesh(spec, order));
-  tsem::PressureSystem psys(space, space.make_mask(0x3));
-  const std::size_t n = psys.nloc();
-  std::vector<double> r(n), z(n);
-  for (std::size_t i = 0; i < n; ++i)
-    r[i] = std::sin(0.37 * static_cast<double>(i));
-
-  // Outer-PCG iteration contract at this order: same impulsive-start
-  // pressure system as run_mesh, fp64- vs fp32-preconditioned.
-  std::vector<double> ux(space.nlocal()), uy(space.nlocal(), 0.0);
-  {
-    const auto& mask = psys.vmask();
-    for (std::size_t i = 0; i < ux.size(); ++i) ux[i] = mask[i] * 1.0;
-  }
-  std::vector<double> g(n);
-  const double* uu[2] = {ux.data(), uy.data()};
-  psys.divergence(uu, g.data());
-  psys.remove_mean_plain(g.data());
-
-  auto time_apply = [&](const SchwarzOptions& sopt) {
-    tsem::SchwarzPrecond prec(psys, sopt);
-    prec.apply(r.data(), z.data());  // warm-up: lazy buffers, page-in
-    const int reps = 40;
-    tsem::Timer t;
-    for (int it = 0; it < reps; ++it) prec.apply(r.data(), z.data());
-    return t.seconds() / reps;
-  };
-
-  SchwarzOptions fdm;
-  SchwarzOptions fdm32 = fdm;
-  fdm32.precision = tsem::PrecondPrecision::Fp32;
-  const double t64 = time_apply(fdm);
-  const double t32 = time_apply(fdm32);
-  const auto it64 = run_case(psys, g, fdm);
-  const auto it32 = run_case(psys, g, fdm32);
-
-  const std::string base = "apply_order" + std::to_string(order);
-  tsem::obs::Json& c64 = g_report.add_case(base + "/fp64");
-  c64["precision"] = "fp64";
-  c64["order"] = order;
-  c64["seconds_per_apply"] = t64;
-  c64["applies_per_s"] = 1.0 / t64;
-  c64["iterations"] = it64.iters;
-  tsem::obs::Json& c32 = g_report.add_case(base + "/fp32");
-  c32["precision"] = "fp32";
-  c32["order"] = order;
-  c32["seconds_per_apply"] = t32;
-  c32["applies_per_s"] = 1.0 / t32;
-  c32["speedup_vs_fp64"] = t64 / t32;
-  c32["iterations"] = it32.iters;
-  c32["extra_iterations_vs_fp64"] = it32.iters - it64.iters;
-  std::printf("# precond apply, order %d: fp64 %.3f ms, fp32 %.3f ms "
-              "(%.2fx); outer PCG %d vs %d iters\n",
-              order, t64 * 1e3, t32 * 1e3, t64 / t32, it64.iters,
-              it32.iters);
+      "%6d | %5d %7.2f | %5d %7.2f | %5d %7.2f | %5d %7.2f | %5d %7.2f\n",
+      m.nelem, r_fdm.iters, r_fdm.cpu, r0.iters, r0.cpu, r1.iters, r1.cpu,
+      r3.iters, r3.cpu, rnc.iters, rnc.cpu);
 }
 
 }  // namespace
@@ -215,20 +141,15 @@ int main() {
   std::printf("# Table 2 reproduction: additive Schwarz, N = 7, eps = 1e-5\n");
   std::printf("# (graded annulus substituting the cylinder mesh; cpu in "
               "seconds, this machine)\n");
-  std::printf("%6s | %13s | %13s | %13s | %13s | %13s | %13s\n", "K", "FDM",
-              "FDM fp32", "FEM No=0", "FEM No=1", "FEM No=3", "A0=0");
-  std::printf("%6s | %5s %7s | %5s %7s | %5s %7s | %5s %7s | %5s %7s | "
-              "%5s %7s\n",
-              "", "iter", "cpu", "iter", "cpu", "iter", "cpu", "iter", "cpu",
-              "iter", "cpu", "iter", "cpu");
+  std::printf("%6s | %13s | %13s | %13s | %13s | %13s\n", "K", "FDM",
+              "FEM No=0", "FEM No=1", "FEM No=3", "A0=0");
+  std::printf("%6s | %5s %7s | %5s %7s | %5s %7s | %5s %7s | %5s %7s\n", "",
+              "iter", "cpu", "iter", "cpu", "iter", "cpu", "iter", "cpu",
+              "iter", "cpu");
   g_report.meta()["table"] = "Table 2";
   g_report.meta()["order"] = 7;
   g_report.meta()["tol"] = 1e-5;
   g_report.meta()["mesh"] = "graded annulus (cylinder substitute)";
-  // Ambient precision policy (rows carry their own "precision" field;
-  // this records what TSEM_PRECOND_FP32 would give defaulted options).
-  g_report.meta()["precision_env"] =
-      tsem::precond_precision_name(tsem::precond_precision_from_env());
   // Active OMP thread budget: the Schwarz local-solve loop is threaded,
   // so timings are only comparable across runs at the same setting.
 #ifdef _OPENMP
@@ -242,7 +163,6 @@ int main() {
   run_mesh(spec, 7);
   spec = tsem::quad_refine(spec);
   run_mesh(spec, 7);
-  run_apply_throughput(16);
   g_report.write();
   return 0;
 }

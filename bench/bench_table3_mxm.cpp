@@ -24,7 +24,6 @@
 
 #include "obs/bench_report.hpp"
 #include "obs/metrics.hpp"
-#include "tensor/kernels_avx512.hpp"
 #include "tensor/kernels_fixed.hpp"
 #include "tensor/kernels_simd.hpp"
 #include "tensor/mxm.hpp"
@@ -193,9 +192,6 @@ int main(int argc, char** argv) {
   // what this binary was compiled with — reports from different hosts
   // stay comparable.
   report.meta()["isa_runtime"] = tsem::mxm_isa_runtime_name();
-  // The AVX-512 tier serves only the FP32 preconditioner kernels.
-  report.meta()["avx512_compiled"] = tsem::avx512_compiled();
-  report.meta()["avx512_available"] = tsem::avx512_available();
   for (const auto& s : kShapes) {
     char label[32];
     std::snprintf(label, sizeof(label), "%dx%dx%d", s.n1, s.n2, s.n3);

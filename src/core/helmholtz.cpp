@@ -18,9 +18,6 @@ HelmholtzOp::HelmholtzOp(const Space& space, double h1, double h2,
   space.gs().op(diag_.data());
   for (std::size_t i = 0; i < diag_.size(); ++i)
     if (mask_[i] == 0.0) diag_[i] = 1.0;
-  inv_diag32_.resize(diag_.size());
-  for (std::size_t i = 0; i < diag_.size(); ++i)
-    inv_diag32_[i] = static_cast<float>(1.0 / diag_[i]);
 }
 
 void HelmholtzOp::apply(const double* u, double* w) const {
@@ -87,20 +84,10 @@ CgResult helmholtz_solve(const HelmholtzOp& h,
     return space.glsum_dot(a2, b2);
   };
   // Reference the operator's diagonal in place: jacobi_precond would copy
-  // the field-length vector on every call.  Under the FP32 policy the
-  // scale runs as a float multiply (demote, multiply, promote) — the
-  // branch is hoisted out of the dof loop.
+  // the field-length vector on every call.
   const std::vector<double>& dg = h.diagonal();
-  const std::vector<float>& idg32 = h.inv_diagonal_f32();
-  const bool prec32 = opt.precond_precision == PrecondPrecision::Fp32;
-  if (prec32) obs::count("helmholtz/fp32_precond_solves");
-  auto prec = [&dg, &idg32, prec32](const double* r, double* z) {
-    if (prec32) {
-      for (std::size_t i = 0; i < idg32.size(); ++i)
-        z[i] = static_cast<double>(static_cast<float>(r[i]) * idg32[i]);
-    } else {
-      for (std::size_t i = 0; i < dg.size(); ++i) z[i] = r[i] / dg[i];
-    }
+  auto prec = [&dg](const double* r, double* z) {
+    for (std::size_t i = 0; i < dg.size(); ++i) z[i] = r[i] / dg[i];
   };
   CgOptions copt;
   copt.tol = opt.tol;
@@ -185,16 +172,8 @@ int helmholtz_solve_multi(const HelmholtzOp& h,
   }
 
   const std::vector<double>& dg = h.diagonal();
-  const std::vector<float>& idg32 = h.inv_diagonal_f32();
-  const bool prec32 = opt.precond_precision == PrecondPrecision::Fp32;
-  if (prec32) obs::count("helmholtz/fp32_precond_solves");
-  auto prec = [&dg, &idg32, prec32, nl](const double* r, double* z) {
-    if (prec32) {
-      for (std::size_t i = 0; i < nl; ++i)
-        z[i] = static_cast<double>(static_cast<float>(r[i]) * idg32[i]);
-    } else {
-      for (std::size_t i = 0; i < nl; ++i) z[i] = r[i] / dg[i];
-    }
+  auto prec = [&dg, nl](const double* r, double* z) {
+    for (std::size_t i = 0; i < nl; ++i) z[i] = r[i] / dg[i];
   };
   auto dot = [&space](const double* a2, const double* b2) {
     return space.glsum_dot(a2, b2);

@@ -8,7 +8,6 @@
 
 #include "core/space.hpp"
 #include "solver/cg.hpp"
-#include "solver/precision.hpp"
 #include "tensor/tensor_apply.hpp"
 
 namespace tsem {
@@ -33,13 +32,6 @@ class HelmholtzOp {
   /// Assembled, masked diagonal (1.0 at masked nodes) for Jacobi.
   [[nodiscard]] const std::vector<double>& diagonal() const { return diag_; }
 
-  /// Float inverse diagonal for the FP32 Jacobi preconditioner (DESIGN.md
-  /// "Precision policy"): one float multiply replaces a double divide per
-  /// dof.  Demoted once from diagonal() at construction.
-  [[nodiscard]] const std::vector<float>& inv_diagonal_f32() const {
-    return inv_diag32_;
-  }
-
   [[nodiscard]] const Space& space() const { return *space_; }
   [[nodiscard]] const std::vector<double>& mask() const { return mask_; }
   [[nodiscard]] double h1() const { return h1_; }
@@ -50,7 +42,6 @@ class HelmholtzOp {
   double h1_, h2_;
   std::vector<double> mask_;
   std::vector<double> diag_;
-  std::vector<float> inv_diag32_;
   mutable TensorWork work_;
 };
 
@@ -60,12 +51,6 @@ struct HelmholtzSolveOptions {
   /// Start CG from zero instead of the previous solution in `out` — the
   /// resilience layer's first escalation when a warm start went bad.
   bool zero_guess = false;
-  /// Precision of the Jacobi preconditioner application (the CG iteration
-  /// itself stays FP64).  Defaults from TSEM_PRECOND_FP32; under Fp32 the
-  /// iterate path shifts within the convergence-contract bounds
-  /// (tests/convergence_contract.hpp), so it is off wherever bitwise
-  /// reproducibility is required.
-  PrecondPrecision precond_precision = precond_precision_from_env();
 };
 
 /// Persistent buffers for helmholtz_solve: the Dirichlet lift, assembled

@@ -7,7 +7,6 @@
 
 #include "common/check.hpp"
 #include "io/binfile.hpp"
-#include "solver/precision.hpp"
 #include "tensor/mxm.hpp"
 
 namespace tsem::fleet {
@@ -49,8 +48,6 @@ SetupKey setup_key_for(const JobSpec& job) {
   k.text = "box2d/k" + std::to_string(job.mesh_k) + "/N" +
            std::to_string(job.order) +
            (job.dealias ? "/dealias" : "/collocated");
-  k.text += std::string("/prec=") +
-            precond_precision_name(precond_precision_from_env());
   k.text += std::string("/isa=") + mxm_isa_runtime_name();
   k.digest = crc32(k.text.data(), k.text.size());
   return k;

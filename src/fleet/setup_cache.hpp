@@ -3,17 +3,16 @@
 //
 // Expensive per-job setup — mesh construction, the Schwarz FDM
 // eigendecompositions, the factored XXT coarse tree, the dealiasing
-// interpolation operators, the mxm kernel-selection table — depends only
-// on the job's SHAPE (mesh spec x order x precision policy x runtime
-// ISA), not on its physics parameters.  A Reynolds sweep therefore
-// rebuilds identical artifacts in every worker.  The supervisor instead
-// owns a MAP_SHARED arena (src/mp/shm.hpp) with one fixed-capacity slot
-// per distinct shape key, allocated and sealed BEFORE the first fork so
-// every worker inherits the same pages: the first worker for a key
-// builds cold and publishes the encoded SetupBundle under a
-// generation-stamped seqlock word; later workers attach, verify the
-// CRC-32 in place, decode zero-copy out of the shared pages, and skip
-// straight to time-stepping.
+// interpolation operators — depends only on the job's SHAPE (mesh spec x
+// order x runtime ISA), not on its physics parameters.  A Reynolds
+// sweep therefore rebuilds identical artifacts in every worker.  The
+// supervisor instead owns a MAP_SHARED arena (src/mp/shm.hpp) with one
+// fixed-capacity slot per distinct shape key, allocated and sealed
+// BEFORE the first fork so every worker inherits the same pages: the
+// first worker for a key builds cold and publishes the encoded
+// SetupBundle under a generation-stamped seqlock word; later workers
+// attach, verify the CRC-32 in place, decode zero-copy out of the shared
+// pages, and skip straight to time-stepping.
 //
 // Trust model: a Ready entry is NEVER trusted.  The CRC (computed over
 // the shared bytes) catches torn publishes (a worker killed mid-copy
@@ -29,9 +28,8 @@
 //
 // The bitwise contract: a cache-hit job's state digest equals its
 // cold-start digest bit for bit (asserted by the fleet cache drill).
-// Serialization round-trips FP64 payloads exactly and re-derives FP32
-// twins with the constructors' own expressions, and the shared mxm table
-// pins every worker of a key to the same kernel choices.
+// Serialization round-trips FP64 payloads exactly, and the runtime ISA in
+// the key pins every worker of a key to the same static kernel choices.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +45,8 @@ namespace tsem::fleet {
 /// Canonical setup shape of a job.  digest is a CRC-32 of the canonical
 /// text, which names every input the cached artifacts depend on: the
 /// mesh spec (fleet jobs are periodic [0,2pi]^2 boxes, so mesh_k pins
-/// it), polynomial order, dealiasing, the preconditioner precision
-/// policy, and the runtime vector ISA (kernel-table validity).
+/// it), polynomial order, dealiasing, and the runtime vector ISA (which
+/// selects the mxm kernels).
 struct SetupKey {
   std::string text;
   std::uint32_t digest = 0;

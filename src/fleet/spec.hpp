@@ -77,7 +77,7 @@ struct FleetOptions {
   int poll_ms = 5;           ///< supervisor event-loop tick
   std::string workdir = "fleet_work";  ///< checkpoints/results/logs
   /// Shape-keyed shared setup cache (fleet/setup_cache.hpp): the first
-  /// worker per (mesh, order, precision, ISA) key publishes its setup
+  /// worker per (mesh, order, ISA) key publishes its setup
   /// artifacts into a MAP_SHARED arena; later workers attach and skip
   /// straight to time-stepping.  $TSEM_FLEET_CACHE=0/1 overrides.
   bool cache = true;

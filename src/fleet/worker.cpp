@@ -144,22 +144,6 @@ void worker_main(const JobSpec& job, const std::string& workdir,
   std::fflush(stdout);
 
   const auto t_setup0 = std::chrono::steady_clock::now();
-  // Setup-phase attribution for cache tuning: TSEM_FLEET_SETUP_TRACE=1
-  // prints per-phase wall times into the job log.
-  auto t_phase = t_setup0;
-  const bool phase_trace = [] {
-    const char* e = std::getenv("TSEM_FLEET_SETUP_TRACE");
-    return e != nullptr && *e != '\0' && *e != '0';
-  }();
-  auto mark = [&](const char* what) {
-    if (!phase_trace) return;
-    const auto now = std::chrono::steady_clock::now();
-    std::printf("[worker] setup-phase %-8s %8.3f ms\n", what,
-                std::chrono::duration<double, std::milli>(now - t_phase)
-                    .count());
-    std::fflush(stdout);
-    t_phase = now;
-  };
 
   // ---- setup-cache attach / claim (DESIGN.md "Setup cache") ----
   const char* cache_tag = cache ? (allow_cache ? "miss" : "cold") : "off";
@@ -225,8 +209,6 @@ void worker_main(const JobSpec& job, const std::string& workdir,
     }
   }
 
-  mark("lookup");
-
   Space space = [&] {
     if (importing && !imported.mesh.empty()) {
       Mesh m;
@@ -245,7 +227,6 @@ void worker_main(const JobSpec& job, const std::string& workdir,
     }
     return make_space(job);
   }();
-  mark("space");
   NsOptions opt;
   opt.dt = job.dt;
   opt.viscosity = 1.0 / job.reynolds;
@@ -255,9 +236,7 @@ void worker_main(const JobSpec& job, const std::string& workdir,
   opt.setup_import = importing ? &imported : nullptr;
   opt.setup_record = recording ? &recorded : nullptr;
   NavierStokes ns(space, 0u, opt);
-  mark("ns");
   init_taylor_green(ns, space);
-  mark("init");
 
   if (recording) {
     serialize_mesh(space.mesh(), &recorded.mesh);
@@ -284,7 +263,6 @@ void worker_main(const JobSpec& job, const std::string& workdir,
       std::printf("[worker] cache publish failed (entry disabled)\n");
       std::fflush(stdout);
     }
-    mark("publish");
   }
 
   int start_step = 0;

@@ -45,10 +45,10 @@ namespace {
 // the member loops carry no per-value GsOp switch and, for the scalar op
 // (Chunk = 1), no runtime component loop; either one makes the scalar op
 // several times slower than its memory traffic.
-template <int Chunk, typename T, typename Reduce>
+template <int Chunk, typename Reduce>
 void reduce_groups(const std::int32_t* group_offset,
-                   const std::int32_t* gather_ix, std::size_t ng, T* u, int m,
-                   T init, Reduce reduce) {
+                   const std::int32_t* gather_ix, std::size_t ng, double* u,
+                   int m, double init, Reduce reduce) {
   constexpr int kGsChunk = Chunk;
   const std::size_t sm = static_cast<std::size_t>(m);
   for (int c0 = 0; c0 < m; c0 += kGsChunk) {
@@ -59,14 +59,15 @@ void reduce_groups(const std::int32_t* group_offset,
     for (std::size_t g = 0; g < ng; ++g) {
       const std::int32_t b = group_offset[g];
       const std::int32_t e = group_offset[g + 1];
-      T acc[kGsChunk];
+      double acc[kGsChunk];
       for (int c = 0; c < nc; ++c) acc[c] = init;
       for (std::int32_t k = b; k < e; ++k) {
-        const T* row = u + static_cast<std::size_t>(gather_ix[k]) * sm + c0;
+        const double* row =
+            u + static_cast<std::size_t>(gather_ix[k]) * sm + c0;
         for (int c = 0; c < nc; ++c) acc[c] = reduce(acc[c], row[c]);
       }
       for (std::int32_t k = b; k < e; ++k) {
-        T* row = u + static_cast<std::size_t>(gather_ix[k]) * sm + c0;
+        double* row = u + static_cast<std::size_t>(gather_ix[k]) * sm + c0;
         for (int c = 0; c < nc; ++c) row[c] = acc[c];
       }
     }
@@ -76,23 +77,26 @@ void reduce_groups(const std::int32_t* group_offset,
 }  // namespace
 
 // The operation is dispatched once per call, outside the group walk.
-template <typename T>
-void GatherScatter::run_groups(T* u, int m, GsOp o) const {
+void GatherScatter::run_groups(double* u, int m, GsOp o) const {
   const std::size_t ng = ngroups();
   const std::int32_t* off = group_offset_.data();
   const std::int32_t* ix = gather_ix_.data();
-  auto walk = [&](T init, auto reduce) {
+  auto walk = [&](double init, auto reduce) {
     if (m == 1)
       reduce_groups<1>(off, ix, ng, u, m, init, reduce);
     else
       reduce_groups<16>(off, ix, ng, u, m, init, reduce);
   };
-  constexpr T kInf = std::numeric_limits<T>::infinity();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   switch (o) {
-    case GsOp::Add: walk(T(0), [](T a, T b) { return a + b; }); break;
-    case GsOp::Mul: walk(T(1), [](T a, T b) { return a * b; }); break;
-    case GsOp::Min: walk(kInf, [](T a, T b) { return a < b ? a : b; }); break;
-    case GsOp::Max: walk(-kInf, [](T a, T b) { return a > b ? a : b; }); break;
+    case GsOp::Add: walk(0.0, [](auto a, auto b) { return a + b; }); break;
+    case GsOp::Mul: walk(1.0, [](auto a, auto b) { return a * b; }); break;
+    case GsOp::Min:
+      walk(kInf, [](auto a, auto b) { return a < b ? a : b; });
+      break;
+    case GsOp::Max:
+      walk(-kInf, [](auto a, auto b) { return a > b ? a : b; });
+      break;
   }
   if constexpr (obs::kEnabled) {
     obs::count("gs/ops");
@@ -101,12 +105,7 @@ void GatherScatter::run_groups(T* u, int m, GsOp o) const {
   }
 }
 
-template void GatherScatter::run_groups<double>(double*, int, GsOp) const;
-template void GatherScatter::run_groups<float>(float*, int, GsOp) const;
-
 void GatherScatter::op(double* u, GsOp o) const { run_groups(u, 1, o); }
-
-void GatherScatter::op_f32(float* u, GsOp o) const { run_groups(u, 1, o); }
 
 void GatherScatter::op_vec(double* u, int m, GsOp o) const {
   run_groups(u, m, o);

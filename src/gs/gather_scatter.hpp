@@ -47,11 +47,6 @@ class GatherScatter {
   /// shared-id group holds the reduction over the group.
   void op(double* u, GsOp o = GsOp::Add) const;
 
-  /// Single-precision exchange-and-reduce, for the FP32 Schwarz ghost
-  /// path (DESIGN.md "Precision policy"): same groups, same reduction
-  /// order, float arithmetic — results carry float rounding by design.
-  void op_f32(float* u, GsOp o = GsOp::Add) const;
-
   /// Vector mode: u holds m consecutive values per node (AoS layout).
   void op_vec(double* u, int m, GsOp o = GsOp::Add) const;
 
@@ -84,12 +79,9 @@ class GatherScatter {
   [[nodiscard]] bool deserialize(ByteReader& r);
 
  private:
-  /// Shared kernel behind op/op_f32/op_vec: reduce-and-broadcast with AoS
+  /// Shared kernel behind op/op_vec: reduce-and-broadcast with AoS
   /// stride m, chunked so each group is walked once per <=16 components.
-  /// Templated over the scalar type (double and float instantiations
-  /// live in the .cpp).
-  template <typename T>
-  void run_groups(T* u, int m, GsOp o) const;
+  void run_groups(double* u, int m, GsOp o) const;
 
   std::size_t nlocal_ = 0;
   std::int64_t nglobal_ = 0;

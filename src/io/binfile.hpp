@@ -48,7 +48,7 @@ class ByteWriter {
   }
   void put_vec(const std::vector<double>& v) { put_pod_vec(v); }
   /// Length-prefixed vector of any trivially-copyable element (the setup
-  /// cache serializes int32/int64/float payloads beside the doubles).
+  /// cache serializes int32/int64 payloads beside the doubles).
   template <class T>
   void put_pod_vec(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);

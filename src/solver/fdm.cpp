@@ -5,7 +5,6 @@
 #include "io/binfile.hpp"
 #include "tensor/linalg.hpp"
 #include "tensor/mxm.hpp"
-#include "tensor/mxm_f32.hpp"
 #include "tensor/tensor_apply.hpp"
 
 namespace tsem {
@@ -39,11 +38,6 @@ FdmLocal::FdmLocal(const std::array<std::vector<double>, 3>& pts, int dim)
           inv_lambda_[(k * m_[1] + j) * m_[0] + i] =
               1.0 / (lambda[0][i] + lambda[1][j] + lambda[2][k]);
   }
-  for (int d = 0; d < dim; ++d) {
-    s32_[d].assign(s_[d].begin(), s_[d].end());
-    st32_[d].assign(st_[d].begin(), st_[d].end());
-  }
-  inv_lambda32_.assign(inv_lambda_.begin(), inv_lambda_.end());
 }
 
 void FdmLocal::solve(const double* r, double* z, double* work) const {
@@ -105,51 +99,6 @@ void FdmLocal::solve_batch(const double* r, double* z, int nb,
   }
 }
 
-// Mirrors solve_batch stage for stage, with one deliberate difference:
-// the first tensor stage uses the row-update smxm form on the OTHER
-// stored factor (we hold both S and S^T, so r * S^T^T == r * S) instead
-// of the bt dot-product form.  The bt dots are latency-bound on the
-// reduction chain and gain nothing from float lanes; the row-update form
-// keeps every lane busy, which is where the FP32 speedup lives.
-void FdmLocal::solve_batch_f32(const float* r, float* z, int nb,
-                               float* work) const {
-  const std::size_t n = size();
-  const std::size_t stride = n * static_cast<std::size_t>(nb);
-  float* t = work;
-  float* t1 = work + stride;
-  float* t2 = t1 + stride;
-  if (dim_ == 2) {
-    const int mx = m_[0], my = m_[1];
-    smxm(r, nb * my, s32_[0].data(), mx, t1, mx);
-    for (int e = 0; e < nb; ++e)
-      smxm(st32_[1].data(), my, t1 + e * n, my, t + e * n, mx);
-    for (int e = 0; e < nb; ++e) {
-      float* te = t + e * n;
-      for (std::size_t i = 0; i < n; ++i) te[i] *= inv_lambda32_[i];
-    }
-    smxm(t, nb * my, st32_[0].data(), mx, t1, mx);
-    for (int e = 0; e < nb; ++e)
-      smxm(s32_[1].data(), my, t1 + e * n, my, z + e * n, mx);
-  } else {
-    const int mx = m_[0], my = m_[1], mz = m_[2];
-    const std::size_t slab = static_cast<std::size_t>(my) * mx;
-    smxm(r, nb * mz * my, s32_[0].data(), mx, t1, mx);
-    for (int s = 0; s < nb * mz; ++s)
-      smxm(st32_[1].data(), my, t1 + s * slab, my, t2 + s * slab, mx);
-    for (int e = 0; e < nb; ++e)
-      smxm(st32_[2].data(), mz, t2 + e * n, mz, t + e * n, my * mx);
-    for (int e = 0; e < nb; ++e) {
-      float* te = t + e * n;
-      for (std::size_t i = 0; i < n; ++i) te[i] *= inv_lambda32_[i];
-    }
-    smxm(t, nb * mz * my, st32_[0].data(), mx, t1, mx);
-    for (int s = 0; s < nb * mz; ++s)
-      smxm(s32_[1].data(), my, t1 + s * slab, my, t2 + s * slab, mx);
-    for (int e = 0; e < nb; ++e)
-      smxm(s32_[2].data(), mz, t2 + e * n, mz, z + e * n, my * mx);
-  }
-}
-
 double FdmLocal::solve_flops() const {
   double f = static_cast<double>(size());  // the diagonal scale
   if (dim_ == 2) {
@@ -196,13 +145,6 @@ bool FdmLocal::deserialize(ByteReader& r) {
   s_ = std::move(s);
   st_ = std::move(st);
   inv_lambda_ = std::move(il);
-  // Same demotion as the constructor: the restored FP32 twins are bitwise
-  // identical to the cold-built ones.
-  for (int d = 0; d < dim_; ++d) {
-    s32_[d].assign(s_[d].begin(), s_[d].end());
-    st32_[d].assign(st_[d].begin(), st_[d].end());
-  }
-  inv_lambda32_.assign(inv_lambda_.begin(), inv_lambda_.end());
   return true;
 }
 

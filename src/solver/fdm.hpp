@@ -39,24 +39,15 @@ class FdmLocal {
   /// stage runs the same kernel on the same operands.
   void solve_batch(const double* r, double* z, int nb, double* work) const;
 
-  /// Single-precision twin of solve_batch (DESIGN.md "Precision
-  /// policy"): same stage structure, float factor matrices and float
-  /// mxm kernels (tensor/mxm_f32.hpp), work >= 3 * nb * size() floats.
-  /// Results carry FP32 rounding — callers promote to double when
-  /// restoring into the FP64 field.
-  void solve_batch_f32(const float* r, float* z, int nb, float* work) const;
-
   [[nodiscard]] int dim() const { return dim_; }
   [[nodiscard]] int extent(int d) const { return m_[d]; }
   [[nodiscard]] std::size_t size() const { return inv_lambda_.size(); }
   /// Flops for one solve (for the Table 2 cost accounting).
   [[nodiscard]] double solve_flops() const;
 
-  /// Append the FP64 factorization (dim, extents, eigenvector matrices,
-  /// inverse eigenvalue sums) to w.  The FP32 twins are NOT written:
-  /// deserialize() re-demotes them with the constructor's expression, so
-  /// the restored object is bitwise-identical on every member while the
-  /// payload stays half the size (setup cache, DESIGN.md "Setup cache").
+  /// Append the factorization (dim, extents, eigenvector matrices,
+  /// inverse eigenvalue sums) to w (setup cache, DESIGN.md "Setup
+  /// cache").
   void serialize(ByteWriter& w) const;
   /// Rebuild *this from r.  Returns false (object unspecified) on a
   /// truncated or structurally inconsistent payload; integrity against
@@ -71,10 +62,6 @@ class FdmLocal {
   std::array<std::vector<double>, 3> s_;
   std::array<std::vector<double>, 3> st_;
   std::vector<double> inv_lambda_;
-  // FP32 twins (demoted once at setup) for solve_batch_f32.
-  std::array<std::vector<float>, 3> s32_;
-  std::array<std::vector<float>, 3> st32_;
-  std::vector<float> inv_lambda32_;
 };
 
 }  // namespace tsem

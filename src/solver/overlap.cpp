@@ -127,7 +127,6 @@ void GhostExchange::init_layout(int nelem) {
   nslots_ = static_cast<std::size_t>(nelem) * 2 * dim_ * nt_;
   map_ = GhostSlotMap(dim_, ng1_, nlayers_);
   buf_.resize(nslots_);
-  buf32_.resize(nslots_);
 }
 
 CommProfile GhostExchange::comm_profile(const std::vector<int>& elem_rank,
@@ -163,20 +162,13 @@ std::unique_ptr<GhostExchange> GhostExchange::deserialize(ByteReader& r,
   return gx;
 }
 
-namespace {
-
-void gs_run(const GatherScatter& gs, double* u) { gs.op(u); }
-void gs_run(const GatherScatter& gs, float* u) { gs.op_f32(u); }
-
-}  // namespace
-
 // Element-major passes: each element packs from / accumulates into its
 // own pressure block only, and visits its slots in map order, so any
 // static split of the elements over threads yields the serial result bit
 // for bit.  The gather-scatter reduction in between is unchanged.  Below
 // kParallelMinItems slots the passes run serially.
-template <typename T>
-void GhostExchange::exchange_impl(const double* p, T* ghost, T* buf) const {
+void GhostExchange::exchange(const double* p, double* ghost) const {
+  double* buf = buf_.data();
   const std::size_t spl = map_.per_layer;
   for (int l = 0; l < nlayers_; ++l) {
     const std::int32_t* donor =
@@ -186,11 +178,11 @@ void GhostExchange::exchange_impl(const double* p, T* ghost, T* buf) const {
 #endif
     for (int e = 0; e < nelem_; ++e) {
       const double* pe = p + static_cast<std::size_t>(e) * npe_;
-      T* b = buf + static_cast<std::size_t>(e) * spl;
-      for (std::size_t k = 0; k < spl; ++k) b[k] = static_cast<T>(pe[donor[k]]);
+      double* b = buf + static_cast<std::size_t>(e) * spl;
+      for (std::size_t k = 0; k < spl; ++k) b[k] = pe[donor[k]];
     }
-    gs_run(gs_, buf);
-    T* g = ghost + static_cast<std::size_t>(l) * nslots_;
+    gs_.op(buf);
+    double* g = ghost + static_cast<std::size_t>(l) * nslots_;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) if (nslots_ > kParallelMinItems)
 #endif
@@ -198,22 +190,20 @@ void GhostExchange::exchange_impl(const double* p, T* ghost, T* buf) const {
       const double* pe = p + static_cast<std::size_t>(e) * npe_;
       const std::size_t s0 = static_cast<std::size_t>(e) * spl;
       for (std::size_t k = 0; k < spl; ++k)
-        g[s0 + k] = buf[s0 + k] - static_cast<T>(pe[donor[k]]);
+        g[s0 + k] = buf[s0 + k] - pe[donor[k]];
     }
   }
 }
 
-// FP64 accumulate on restore: with T = float the contributions are
-// promoted before touching the double field.
-template <typename T>
-void GhostExchange::scatter_add_impl(const T* v, double* p, T* buf) const {
+void GhostExchange::scatter_add(const double* v, double* p) const {
+  double* buf = buf_.data();
   const std::size_t spl = map_.per_layer;
   for (int l = 0; l < nlayers_; ++l) {
     const std::int32_t* donor =
         map_.donor.data() + static_cast<std::size_t>(l) * spl;
-    const T* g = v + static_cast<std::size_t>(l) * nslots_;
+    const double* g = v + static_cast<std::size_t>(l) * nslots_;
     std::copy(g, g + nslots_, buf);
-    gs_run(gs_, buf);
+    gs_.op(buf);
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) if (nslots_ > kParallelMinItems)
 #endif
@@ -221,26 +211,9 @@ void GhostExchange::scatter_add_impl(const T* v, double* p, T* buf) const {
       double* pe = p + static_cast<std::size_t>(e) * npe_;
       const std::size_t s0 = static_cast<std::size_t>(e) * spl;
       for (std::size_t k = 0; k < spl; ++k)
-        pe[donor[k]] +=
-            static_cast<double>(buf[s0 + k]) - static_cast<double>(g[s0 + k]);
+        pe[donor[k]] += buf[s0 + k] - g[s0 + k];
     }
   }
-}
-
-void GhostExchange::exchange(const double* p, double* ghost) const {
-  exchange_impl(p, ghost, buf_.data());
-}
-
-void GhostExchange::scatter_add(const double* v, double* p) const {
-  scatter_add_impl(v, p, buf_.data());
-}
-
-void GhostExchange::exchange(const double* p, float* ghost) const {
-  exchange_impl(p, ghost, buf32_.data());
-}
-
-void GhostExchange::scatter_add(const float* v, double* p) const {
-  scatter_add_impl(v, p, buf32_.data());
 }
 
 }  // namespace tsem

@@ -79,15 +79,6 @@ class GhostExchange {
   /// underlying dof and accumulate into p.
   void scatter_add(const double* v, double* p) const;
 
-  /// FP32 ghost path (DESIGN.md "Precision policy"): identical routing,
-  /// but staging buffers and the gather-scatter reduction run in float
-  /// (half the exchanged bytes).  The field p stays FP64 on both sides:
-  /// exchange reads double and demotes into the float staging; the
-  /// reverse scatter_add accumulates the float contributions back into
-  /// the double field.
-  void exchange(const double* p, float* ghost) const;
-  void scatter_add(const float* v, double* p) const;
-
   /// The underlying anchor-id gather-scatter (one op per layer per
   /// exchange/scatter_add pass).
   [[nodiscard]] const GatherScatter& gather_scatter() const { return gs_; }
@@ -112,11 +103,6 @@ class GhostExchange {
   GhostExchange() = default;
   /// Set the slot geometry and size the staging buffers (both ctors).
   void init_layout(int nelem);
-  // The FP64/FP32 bodies of exchange and scatter_add (T = staging type).
-  template <typename T>
-  void exchange_impl(const double* p, T* ghost, T* buf) const;
-  template <typename T>
-  void scatter_add_impl(const T* v, double* p, T* buf) const;
 
   int dim_, ng1_, nlayers_;
   int nt_;  // tangential slots per face
@@ -125,10 +111,8 @@ class GhostExchange {
   std::size_t nslots_;
   GhostSlotMap map_;
   GatherScatter gs_;
-  // One layer's gather-scatter staging; the float twin serves the FP32
-  // overloads.
+  // One layer's gather-scatter staging.
   mutable std::vector<double> buf_;
-  mutable std::vector<float> buf32_;
 };
 
 }  // namespace tsem

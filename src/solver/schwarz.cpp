@@ -200,32 +200,6 @@ SchwarzPrecond::SchwarzPrecond(const PressureSystem& psys, SchwarzOptions opt)
   // Batch staging buffers sized once here so apply() never allocates.
   batch_r_.resize(static_cast<std::size_t>(m.nelem) * nle_);
   batch_z_.resize(batch_r_.size());
-
-  // FP32 is honored for the FDM local only; the FemP1 baseline keeps its
-  // FP64 Cholesky factors.
-  precision_ = (opt_.precision == PrecondPrecision::Fp32 &&
-                opt_.local == SchwarzOptions::Local::Fdm)
-                   ? PrecondPrecision::Fp32
-                   : PrecondPrecision::Fp64;
-  if (precision_ == PrecondPrecision::Fp32) {
-    batch_r32_.resize(batch_r_.size());
-    batch_z32_.resize(batch_r_.size());
-    if (ghosts_) {
-      ghost32_.resize(ghost_.size());
-      vout32_.resize(ghost_.size());
-    }
-  }
-  // Event only for the non-default policy: default FP64 construction
-  // stays silent so event streams keyed on exact counts are unchanged.
-  if (precision_ == PrecondPrecision::Fp32) {
-    obs::count("schwarz/fp32_setups");
-    obs::Json ev;
-    ev["type"] = "schwarz_precision";
-    ev["precision"] = precond_precision_name(precision_);
-    ev["local"] = opt_.local == SchwarzOptions::Local::Fdm ? "fdm" : "fem_p1";
-    ev["overlap"] = opt_.overlap;
-    obs::emit_event(std::move(ev));
-  }
 }
 
 void SchwarzPrecond::build_local_grids() {
@@ -348,11 +322,9 @@ void SchwarzPrecond::build_coarse() {
 }
 
 // Gather pass of apply(): residuals (and ghost strips) into per-element
-// batch slots.  T = double (FP64 path) or float (FP32 path: the residual
-// is demoted here, once, on entry to the preconditioner).
-template <typename T>
-void SchwarzPrecond::gather_residual(const double* r, const T* ghost,
-                                     T* batch_r) const {
+// batch slots.
+void SchwarzPrecond::gather_residual(const double* r, const double* ghost,
+                                     double* batch_r) const {
   const Mesh& m = psys_->vspace().mesh();
   const int npe = psys_->npe();
   const int ov = opt_.overlap;  // > 0 exactly when ghosts_ is set
@@ -363,37 +335,34 @@ void SchwarzPrecond::gather_residual(const double* r, const T* ghost,
 #pragma omp parallel for schedule(static)
 #endif
   for (int e = 0; e < m.nelem; ++e) {
-    T* rloc = batch_r + static_cast<std::size_t>(slot_of_[e]) * nle_;
+    double* rloc = batch_r + static_cast<std::size_t>(slot_of_[e]) * nle_;
     const std::size_t poff = static_cast<std::size_t>(e) * npe;
-    std::fill(rloc, rloc + nle_, T(0));
+    std::fill(rloc, rloc + nle_, 0.0);
     // Own dofs.
     if (dim_ == 2) {
       for (int j = 0; j < ng1_; ++j)
         for (int i = 0; i < ng1_; ++i)
-          rloc[(j + ov) * m1_ + (i + ov)] =
-              static_cast<T>(r[poff + j * ng1_ + i]);
+          rloc[(j + ov) * m1_ + (i + ov)] = r[poff + j * ng1_ + i];
     } else {
       for (int k = 0; k < ng1_; ++k)
         for (int j = 0; j < ng1_; ++j)
           for (int i = 0; i < ng1_; ++i)
             rloc[((k + ov) * m1_ + (j + ov)) * m1_ + (i + ov)] =
-                static_cast<T>(r[poff + (k * ng1_ + j) * ng1_ + i]);
+                r[poff + (k * ng1_ + j) * ng1_ + i];
     }
     // Ghost strips.
     for (int l = 0; l < ov; ++l) {
       const std::size_t k0 = static_cast<std::size_t>(l) * spl;
-      const T* g = ghost + static_cast<std::size_t>(l) * nslots +
-                   static_cast<std::size_t>(e) * spl;
+      const double* g = ghost + static_cast<std::size_t>(l) * nslots +
+                        static_cast<std::size_t>(e) * spl;
       for (std::size_t k = 0; k < spl; ++k) rloc[map->local[k0 + k]] = g[k];
     }
   }
 }
 
 // Scatter pass of apply(): local solutions onto the pressure dofs, which
-// it overwrites (promoted to double first when T = float), and into the
-// ghost return staging.
-template <typename T>
-void SchwarzPrecond::scatter_solution(const T* batch_z, T* vout,
+// it overwrites, and into the ghost return staging.
+void SchwarzPrecond::scatter_solution(const double* batch_z, double* vout,
                                       double* z) const {
   const Mesh& m = psys_->vspace().mesh();
   const int npe = psys_->npe();
@@ -405,7 +374,8 @@ void SchwarzPrecond::scatter_solution(const T* batch_z, T* vout,
 #pragma omp parallel for schedule(static)
 #endif
   for (int e = 0; e < m.nelem; ++e) {
-    const T* zloc = batch_z + static_cast<std::size_t>(slot_of_[e]) * nle_;
+    const double* zloc =
+        batch_z + static_cast<std::size_t>(slot_of_[e]) * nle_;
     const std::size_t poff = static_cast<std::size_t>(e) * npe;
     // Own part, which starts z: each sum begins at 0.0 (not at the local
     // value) so a -0.0 lands as +0.0 before the ghost and coarse terms
@@ -413,21 +383,19 @@ void SchwarzPrecond::scatter_solution(const T* batch_z, T* vout,
     if (dim_ == 2) {
       for (int j = 0; j < ng1_; ++j)
         for (int i = 0; i < ng1_; ++i)
-          z[poff + j * ng1_ + i] =
-              0.0 + static_cast<double>(zloc[(j + ov) * m1_ + (i + ov)]);
+          z[poff + j * ng1_ + i] = 0.0 + zloc[(j + ov) * m1_ + (i + ov)];
     } else {
       for (int k = 0; k < ng1_; ++k)
         for (int j = 0; j < ng1_; ++j)
           for (int i = 0; i < ng1_; ++i)
             z[poff + (k * ng1_ + j) * ng1_ + i] =
-                0.0 + static_cast<double>(
-                          zloc[((k + ov) * m1_ + (j + ov)) * m1_ + (i + ov)]);
+                0.0 + zloc[((k + ov) * m1_ + (j + ov)) * m1_ + (i + ov)];
     }
     // Ghost parts routed back to the neighbors.
     for (int l = 0; l < ov; ++l) {
       const std::size_t k0 = static_cast<std::size_t>(l) * spl;
-      T* v = vout + static_cast<std::size_t>(l) * nslots +
-             static_cast<std::size_t>(e) * spl;
+      double* v = vout + static_cast<std::size_t>(l) * nslots +
+                  static_cast<std::size_t>(e) * spl;
       for (std::size_t k = 0; k < spl; ++k) v[k] = zloc[map->local[k0 + k]];
     }
   }
@@ -437,7 +405,6 @@ void SchwarzPrecond::apply(const double* r, double* z) const {
   const obs::ScopedTimer timer_apply("schwarz/apply");
   const Mesh& m = psys_->vspace().mesh();
   const std::size_t nloc = psys_->nloc();
-  const bool fp32 = precision_ == PrecondPrecision::Fp32;
 
   // Cheap non-finite guard (see nonfinite_applies()): pass a poisoned
   // residual through untouched instead of spending the local/coarse
@@ -452,13 +419,9 @@ void SchwarzPrecond::apply(const double* r, double* z) const {
   }
 
   obs::count("schwarz/applies");
-  if (fp32) obs::count("schwarz/fp32_applies");
   if (ghosts_) {
     const obs::ScopedTimer timer_exchange("exchange");
-    if (fp32)
-      ghosts_->exchange(r, ghost32_.data());
-    else
-      ghosts_->exchange(r, ghost_.data());
+    ghosts_->exchange(r, ghost_.data());
   }
 
   // Local overlapping-subdomain solves (nested label:
@@ -471,10 +434,7 @@ void SchwarzPrecond::apply(const double* r, double* z) const {
   obs::ScopedTimer timer_local("local");
   obs::count("schwarz/local_solves", m.nelem);
   obs::count("schwarz/batch_solves", static_cast<std::int64_t>(chunks_.size()));
-  if (fp32)
-    gather_residual<float>(r, ghost32_.data(), batch_r32_.data());
-  else
-    gather_residual<double>(r, ghost_.data(), batch_r_.data());
+  gather_residual(r, ghost_.data(), batch_r_.data());
 
   // Batched local solves, one chunk per iteration.
   const int nchunks = static_cast<int>(chunks_.size());
@@ -484,17 +444,7 @@ void SchwarzPrecond::apply(const double* r, double* z) const {
   for (int ci = 0; ci < nchunks; ++ci) {
     const Chunk& ch = chunks_[ci];
     const std::size_t off = static_cast<std::size_t>(ch.slot0) * nle_;
-    if (fp32) {
-      // The float slab rides in a dedicated double arena: 2 floats per
-      // double, used as float only, so the reinterpret is type-clean for
-      // the allocation's effective type.
-      const std::size_t nfl = 3 * static_cast<std::size_t>(ch.count) * nle_;
-      float* lwork =
-          reinterpret_cast<float*>(lscratch32_.get((nfl + 1) / 2));
-      fdm_[ch.local].solve_batch_f32(batch_r32_.data() + off,
-                                     batch_z32_.data() + off, ch.count,
-                                     lwork);
-    } else if (opt_.local == SchwarzOptions::Local::Fdm) {
+    if (opt_.local == SchwarzOptions::Local::Fdm) {
       double* lwork = lscratch_.get(3 * static_cast<std::size_t>(ch.count) * nle_);
       fdm_[ch.local].solve_batch(batch_r_.data() + off,
                                  batch_z_.data() + off, ch.count, lwork);
@@ -510,16 +460,11 @@ void SchwarzPrecond::apply(const double* r, double* z) const {
     }
   }
 
-  if (fp32) {
-    scatter_solution<float>(batch_z32_.data(), vout32_.data(), z);
-    if (ghosts_) ghosts_->scatter_add(vout32_.data(), z);
-  } else {
-    scatter_solution<double>(batch_z_.data(), vout_.data(), z);
-    if (ghosts_) ghosts_->scatter_add(vout_.data(), z);
-  }
+  scatter_solution(batch_z_.data(), vout_.data(), z);
+  if (ghosts_) ghosts_->scatter_add(vout_.data(), z);
   timer_local.stop();
 
-  // Coarse-grid contribution (always FP64, whatever the local precision).
+  // Coarse-grid contribution.
   // Restriction in two passes: per-(element, corner) weighted sums in
   // parallel, then the serial accumulation onto shared vertices in (e, c)
   // order.  Prolongation writes each element's own block.  Small fields

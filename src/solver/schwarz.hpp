@@ -24,7 +24,6 @@
 #include "solver/coarse.hpp"
 #include "solver/fdm.hpp"
 #include "solver/overlap.hpp"
-#include "solver/precision.hpp"
 
 namespace tsem {
 
@@ -91,11 +90,6 @@ struct SchwarzOptions {
   bool use_coarse = true;
   /// Nested-dissection levels for the XXT coarse solve (-1 = auto).
   int coarse_nlevels = -1;
-  /// Arithmetic inside the local solves + ghost staging (DESIGN.md
-  /// "Precision policy").  Defaults from TSEM_PRECOND_FP32.  Honored for
-  /// the Fdm local only; FemP1 (dense FP64 Cholesky baseline) ignores it.
-  /// The coarse solve and the outer Krylov iteration stay FP64 always.
-  PrecondPrecision precision = precond_precision_from_env();
   /// Setup replay/record seams (DESIGN.md "Setup cache").  With
   /// setup_import set, the FDM eigendecompositions, the factored XXT
   /// coarse tree, and the overlap ghost-exchange pattern are restored
@@ -117,9 +111,6 @@ class SchwarzPrecond {
   void apply(const double* r, double* z) const;
 
   [[nodiscard]] const SchwarzOptions& options() const { return opt_; }
-  /// Effective precision of the local-solve path (Fp64 when the option
-  /// asked for Fp32 but the local kind doesn't support it).
-  [[nodiscard]] PrecondPrecision precision() const { return precision_; }
   /// Setup + per-apply flop counts for the local solves (Table 2 cpu
   /// accounting is done by wall clock in the bench; these support the
   /// machine model).
@@ -145,12 +136,11 @@ class SchwarzPrecond {
  private:
   void build_local_grids();
   void build_coarse();
-  // The gather/solve/scatter passes of apply(), shared between the FP64
-  // and FP32 paths (T = double or float; defined in the .cpp).
-  template <typename T>
-  void gather_residual(const double* r, const T* ghost, T* batch_r) const;
-  template <typename T>
-  void scatter_solution(const T* batch_z, T* vout, double* z) const;
+  // The gather and scatter passes around apply()'s batched local solves.
+  void gather_residual(const double* r, const double* ghost,
+                       double* batch_r) const;
+  void scatter_solution(const double* batch_z, double* vout,
+                        double* z) const;
 
   const PressureSystem* psys_;
   SchwarzOptions opt_;
@@ -193,13 +183,6 @@ class SchwarzPrecond {
   /// thread) for the OpenMP-parallel chunk-solve loop in apply().
   mutable Workspace lscratch_;
   mutable long nonfinite_applies_ = 0;
-
-  // FP32 path (precision_ == Fp32): float twins of the batch staging,
-  // ghost staging, and per-thread solve scratch.  Empty in FP64 mode.
-  PrecondPrecision precision_ = PrecondPrecision::Fp64;
-  mutable std::vector<float> batch_r32_, batch_z32_;
-  mutable std::vector<float> ghost32_, vout32_;
-  mutable Workspace lscratch32_;  // slabs reinterpreted as float
 };
 
 }  // namespace tsem

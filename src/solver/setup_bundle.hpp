@@ -2,7 +2,7 @@
 // cache").
 //
 // A fleet worker's setup cost is dominated by artifacts that are pure
-// functions of (mesh spec, order, precision policy, ISA): the mesh
+// functions of (mesh spec, order, ISA): the mesh
 // geometry itself (GLL coordinates, C0 numbering, geometric factors),
 // the Schwarz FDM generalized eigendecompositions, the factored XXT
 // coarse tree, the dealiasing interpolation matrices, the Schwarz ghost

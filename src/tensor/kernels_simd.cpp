@@ -147,118 +147,6 @@ void mxm_bt_avx2(const double* a, int m, const double* b, int k, double* c,
   }
 }
 
-namespace {
-
-// One ROWS x (8*NV) float register tile of C — same structure as tile<>
-// above at twice the lane count.
-template <int ROWS, int NV>
-inline void stile(const float* a, const float* bj, float* cij, int k,
-                  int n) {
-  __m256 acc[ROWS][NV];
-  for (int r = 0; r < ROWS; ++r)
-    for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_ps();
-  for (int l = 0; l < k; ++l) {
-    __m256 bv[NV];
-    for (int v = 0; v < NV; ++v)
-      bv[v] = _mm256_loadu_ps(bj + static_cast<std::ptrdiff_t>(l) * n + 8 * v);
-    for (int r = 0; r < ROWS; ++r) {
-      const __m256 av =
-          _mm256_set1_ps(a[static_cast<std::ptrdiff_t>(r) * k + l]);
-      for (int v = 0; v < NV; ++v)
-        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
-    }
-  }
-  for (int r = 0; r < ROWS; ++r)
-    for (int v = 0; v < NV; ++v)
-      _mm256_storeu_ps(cij + static_cast<std::ptrdiff_t>(r) * n + 8 * v,
-                       acc[r][v]);
-}
-
-inline void stail_col(const float* a, const float* bj, float* cij, int k,
-                      int n, int rows) {
-  for (int r = 0; r < rows; ++r) {
-    const float* ar = a + static_cast<std::ptrdiff_t>(r) * k;
-    float s = 0.0f;
-    for (int l = 0; l < k; ++l)
-      s += ar[l] * bj[static_cast<std::ptrdiff_t>(l) * n];
-    cij[static_cast<std::ptrdiff_t>(r) * n] = s;
-  }
-}
-
-inline float hsum8(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 s = _mm_add_ps(lo, hi);
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
-  return _mm_cvtss_f32(s);
-}
-
-}  // namespace
-
-void smxm_avx2(const float* a, int m, const float* b, int k, float* c,
-               int n) {
-  constexpr int ROWS = 4, NV = 2, JB = 8 * NV;
-  int i = 0;
-  for (; i + ROWS <= m; i += ROWS) {
-    const float* ai = a + static_cast<std::ptrdiff_t>(i) * k;
-    float* ci = c + static_cast<std::ptrdiff_t>(i) * n;
-    int j = 0;
-    for (; j + JB <= n; j += JB) stile<ROWS, NV>(ai, b + j, ci + j, k, n);
-    for (; j + 8 <= n; j += 8) stile<ROWS, 1>(ai, b + j, ci + j, k, n);
-    for (; j < n; ++j) stail_col(ai, b + j, ci + j, k, n, ROWS);
-  }
-  for (; i < m; ++i) {
-    const float* ai = a + static_cast<std::ptrdiff_t>(i) * k;
-    float* ci = c + static_cast<std::ptrdiff_t>(i) * n;
-    int j = 0;
-    for (; j + 8 <= n; j += 8) stile<1, 1>(ai, b + j, ci + j, k, n);
-    for (; j < n; ++j) stail_col(ai, b + j, ci + j, k, n, 1);
-  }
-}
-
-void smxm_avx2_bt(const float* a, int m, const float* b, int k, float* c,
-                  int n) {
-  for (int i = 0; i < m; ++i) {
-    const float* ai = a + static_cast<std::ptrdiff_t>(i) * k;
-    float* ci = c + static_cast<std::ptrdiff_t>(i) * n;
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = b + static_cast<std::ptrdiff_t>(j) * k;
-      const float* b1 = b0 + k;
-      const float* b2 = b1 + k;
-      const float* b3 = b2 + k;
-      __m256 s0 = _mm256_setzero_ps(), s1 = s0, s2 = s0, s3 = s0;
-      int l = 0;
-      for (; l + 8 <= k; l += 8) {
-        const __m256 av = _mm256_loadu_ps(ai + l);
-        s0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0 + l), s0);
-        s1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1 + l), s1);
-        s2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b2 + l), s2);
-        s3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b3 + l), s3);
-      }
-      float t0 = 0.0f, t1 = 0.0f, t2 = 0.0f, t3 = 0.0f;
-      for (; l < k; ++l) {
-        const float av = ai[l];
-        t0 += av * b0[l];
-        t1 += av * b1[l];
-        t2 += av * b2[l];
-        t3 += av * b3[l];
-      }
-      ci[j] = hsum8(s0) + t0;
-      ci[j + 1] = hsum8(s1) + t1;
-      ci[j + 2] = hsum8(s2) + t2;
-      ci[j + 3] = hsum8(s3) + t3;
-    }
-    for (; j < n; ++j) {
-      const float* bj = b + static_cast<std::ptrdiff_t>(j) * k;
-      float s = 0.0f;
-      for (int l = 0; l < k; ++l) s += ai[l] * bj[l];
-      ci[j] = s;
-    }
-  }
-}
-
 #else  // !TSEM_SIMD_IMPL — defined so the dispatch code links; never
        // selected (simd_available() is false), so never reachable.
 
@@ -267,12 +155,6 @@ void mxm_avx2_b4x8(const double*, int, const double*, int, double*, int) {
 }
 void mxm_bt_avx2(const double*, int, const double*, int, double*, int) {
   TSEM_REQUIRE(!"mxm_bt_avx2 called without TSEM_SIMD support");
-}
-void smxm_avx2(const float*, int, const float*, int, float*, int) {
-  TSEM_REQUIRE(!"smxm_avx2 called without TSEM_SIMD support");
-}
-void smxm_avx2_bt(const float*, int, const float*, int, float*, int) {
-  TSEM_REQUIRE(!"smxm_avx2_bt called without TSEM_SIMD support");
 }
 
 #endif

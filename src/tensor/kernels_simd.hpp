@@ -43,14 +43,4 @@ void mxm_avx2_b4x8(const double* a, int m, const double* b, int k, double* c,
 void mxm_bt_avx2(const double* a, int m, const double* b, int k, double* c,
                  int n);
 
-// Single-precision twins for the FP32 preconditioner path (DESIGN.md
-// "Precision policy"): 8-lane float tiles, twice the lane width of the
-// double kernels at the same register budget.  Reached through the
-// smxm/smxm_bt dispatchers in tensor/mxm_f32.cpp, never the double
-// dispatch.  Callable only when simd_available().
-void smxm_avx2(const float* a, int m, const float* b, int k, float* c,
-               int n);
-void smxm_avx2_bt(const float* a, int m, const float* b, int k, float* c,
-                  int n);
-
 }  // namespace tsem

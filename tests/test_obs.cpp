@@ -430,9 +430,8 @@ TEST(ObsIntegration, NavierStokesStepEmitsStructuredEvent) {
 
   const Json snap = reg.snapshot();
   const auto& events = snap.find("events")->items();
-  // Select the ns/step events rather than asserting the stream length:
-  // under TSEM_PRECOND_FP32 the Schwarz setup adds a schwarz_precision
-  // event, and this test is about the step event's shape either way.
+  // Select the ns/step events: this test is about the step event's
+  // shape, not the length of the whole stream.
   std::vector<const Json*> steps;
   for (const auto& ev : events)
     if (const Json* name = ev.find("event");

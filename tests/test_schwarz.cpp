@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
-#include <type_traits>
 #include <vector>
 
 #ifdef _OPENMP
@@ -22,7 +21,6 @@
 #include "poly/basis1d.hpp"
 #include "solver/cg.hpp"
 #include "solver/overlap.hpp"
-#include "solver/precision.hpp"
 #include "solver/schwarz.hpp"
 
 namespace {
@@ -75,20 +73,20 @@ TEST(GhostExchange, MirrorsNeighborValues2D) {
     }
 }
 
-TEST(GhostExchange, ScatterAddIsTransposeOfExchange) {
-  // <exchange(p), v> == <p, scatter_add(v)> — the exchange pair is
-  // adjoint, which additive Schwarz symmetry relies on.
-  auto spec = tsem::annulus_spec(0.9, 2.1, 2, 6, 1.2);
-  Space s(build_mesh(spec, 6));
-  PressureSystem p(s, s.make_mask(0x3));
-  tsem::GhostExchange gx(p, 1);
+// <exchange(p), v> == <p, scatter_add(v)> over every ghost layer: the
+// exchange pair is adjoint, which additive Schwarz symmetry relies on.
+void expect_exchange_adjoint(const PressureSystem& p, int nlayers,
+                             unsigned seed) {
+  SCOPED_TRACE(::testing::Message() << "nlayers " << nlayers);
+  tsem::GhostExchange gx(p, nlayers);
   const std::size_t n = p.nloc();
-  const auto pv = random_vec(n, 3);
-  const auto vv = random_vec(gx.nslots(), 5);
-  std::vector<double> ghost(gx.nslots());
+  const std::size_t nv = static_cast<std::size_t>(nlayers) * gx.nslots();
+  const auto pv = random_vec(n, seed);
+  const auto vv = random_vec(nv, seed + 2);
+  std::vector<double> ghost(nv);
   gx.exchange(pv.data(), ghost.data());
   double lhs = 0.0;
-  for (std::size_t i = 0; i < gx.nslots(); ++i) lhs += ghost[i] * vv[i];
+  for (std::size_t i = 0; i < nv; ++i) lhs += ghost[i] * vv[i];
   std::vector<double> back(n, 0.0);
   gx.scatter_add(vv.data(), back.data());
   double rhs = 0.0;
@@ -96,16 +94,18 @@ TEST(GhostExchange, ScatterAddIsTransposeOfExchange) {
   EXPECT_NEAR(lhs, rhs, 1e-11 * (1.0 + std::fabs(lhs)));
 }
 
+TEST(GhostExchange, ScatterAddIsTransposeOfExchange) {
+  auto spec = tsem::annulus_spec(0.9, 2.1, 2, 6, 1.2);
+  Space s(build_mesh(spec, 6));
+  PressureSystem p(s, s.make_mask(0x3));
+  for (int nlayers : {1, 2}) expect_exchange_adjoint(p, nlayers, 3);
+}
+
 TEST(Schwarz, PreconditionerIsSymmetric) {
   auto spec = tsem::annulus_spec(0.8, 2.0, 2, 8, 1.2);
   Space s(build_mesh(spec, 7));
   PressureSystem p(s, s.make_mask(0x3));
-  SchwarzOptions opt;
-  // This asserts FP64-level symmetry, so pin the precision regardless of
-  // the ambient TSEM_PRECOND_FP32 default; the FP32 apply's symmetry is
-  // covered at its own tolerance in test_precision.
-  opt.precision = tsem::PrecondPrecision::Fp64;
-  SchwarzPrecond prec(p, opt);
+  SchwarzPrecond prec(p, SchwarzOptions{});
   const std::size_t n = p.nloc();
   const auto a = random_vec(n, 7);
   const auto b = random_vec(n, 9);
@@ -229,21 +229,9 @@ TEST(GhostExchange, AdjointIn3D) {
   auto spec = tsem::box_spec_3d(tsem::linspace(0, 2, 2),
                                 tsem::linspace(0, 1, 1),
                                 tsem::linspace(0, 2, 2));
-  Space s(build_mesh(spec, 4));
+  Space s(build_mesh(spec, 4));  // ng1 = 3 >= nlayers
   PressureSystem p(s, s.make_mask(0x3F));
-  tsem::GhostExchange gx(p, 1);
-  const std::size_t n = p.nloc();
-  const auto pv = random_vec(n, 21);
-  const auto vv = random_vec(gx.nslots(), 23);
-  std::vector<double> ghost(gx.nslots());
-  gx.exchange(pv.data(), ghost.data());
-  double lhs = 0.0;
-  for (std::size_t i = 0; i < gx.nslots(); ++i) lhs += ghost[i] * vv[i];
-  std::vector<double> back(n, 0.0);
-  gx.scatter_add(vv.data(), back.data());
-  double rhs = 0.0;
-  for (std::size_t i = 0; i < n; ++i) rhs += back[i] * pv[i];
-  EXPECT_NEAR(lhs, rhs, 1e-11 * (1.0 + std::fabs(lhs)));
+  for (int nlayers : {1, 2}) expect_exchange_adjoint(p, nlayers, 21);
 }
 
 TEST(Schwarz, LocalSolverSweepMatchesPrecondBitwise) {
@@ -259,7 +247,6 @@ TEST(Schwarz, LocalSolverSweepMatchesPrecondBitwise) {
   SchwarzOptions opt;
   opt.use_coarse = false;
   opt.overlap = 1;
-  opt.precision = tsem::PrecondPrecision::Fp64;
   const SchwarzPrecond pre(p, opt);
   const tsem::GhostExchange& gx = *pre.ghost_exchange();
 
@@ -326,38 +313,34 @@ std::size_t ref_donor_node(const tsem::GhostExchange& gx, std::size_t slot,
   return ((e * ng1 + idx[2]) * ng1 + idx[1]) * ng1 + idx[0];
 }
 
-void ref_gs(const tsem::GatherScatter& gs, double* u) { gs.op(u); }
-void ref_gs(const tsem::GatherScatter& gs, float* u) { gs.op_f32(u); }
-
-template <typename T>
-void ref_exchange(const tsem::GhostExchange& gx, const double* p, T* ghost) {
+void ref_exchange(const tsem::GhostExchange& gx, const double* p,
+                  double* ghost) {
   const std::size_t ns = gx.nslots();
-  std::vector<T> own(ns), buf(ns);
+  std::vector<double> own(ns), buf(ns);
   for (int l = 0; l < gx.nlayers(); ++l) {
     for (std::size_t s = 0; s < ns; ++s) {
-      own[s] = static_cast<T>(p[ref_donor_node(gx, s, l)]);
+      own[s] = p[ref_donor_node(gx, s, l)];
       buf[s] = own[s];
     }
-    ref_gs(gx.gather_scatter(), buf.data());
-    T* g = ghost + static_cast<std::size_t>(l) * ns;
+    gx.gather_scatter().op(buf.data());
+    double* g = ghost + static_cast<std::size_t>(l) * ns;
     for (std::size_t s = 0; s < ns; ++s) g[s] = buf[s] - own[s];
   }
 }
 
-template <typename T>
-void ref_scatter_add(const tsem::GhostExchange& gx, const T* v, double* p) {
+void ref_scatter_add(const tsem::GhostExchange& gx, const double* v,
+                     double* p) {
   const std::size_t ns = gx.nslots();
-  std::vector<T> own(ns), buf(ns);
+  std::vector<double> own(ns), buf(ns);
   for (int l = 0; l < gx.nlayers(); ++l) {
-    const T* g = v + static_cast<std::size_t>(l) * ns;
+    const double* g = v + static_cast<std::size_t>(l) * ns;
     for (std::size_t s = 0; s < ns; ++s) {
       own[s] = g[s];
       buf[s] = g[s];
     }
-    ref_gs(gx.gather_scatter(), buf.data());
+    gx.gather_scatter().op(buf.data());
     for (std::size_t s = 0; s < ns; ++s)
-      p[ref_donor_node(gx, s, l)] +=
-          static_cast<double>(buf[s]) - static_cast<double>(own[s]);
+      p[ref_donor_node(gx, s, l)] += buf[s] - own[s];
   }
 }
 
@@ -380,10 +363,8 @@ int ref_ghost_point(int dim, int ng1, int ov, int f, int l, int t) {
 }
 
 /// z = M^{-1} r of a default FDM SchwarzPrecond (overlap 1, coarse on),
-/// serially, with T = double (FP64 local path) or float (FP32).  The
-/// batch layout is the library's: elements grouped by factorization in
-/// first-appearance order, chunks of <= 16.
-template <typename T>
+/// serially.  The batch layout is the library's: elements grouped by
+/// factorization in first-appearance order, chunks of <= 16.
 std::vector<double> ref_apply(const PressureSystem& ps,
                               const SchwarzPrecond& pre, const double* r) {
   const tsem::Mesh& m = ps.vspace().mesh();
@@ -395,7 +376,7 @@ std::vector<double> ref_apply(const PressureSystem& ps,
   const std::size_t ns = gx.nslots();
 
   std::vector<double> z(ps.nloc(), 0.0);
-  std::vector<T> ghost(ns), vout(ns);
+  std::vector<double> ghost(ns), vout(ns);
   ref_exchange(gx, r, ghost.data());
 
   std::vector<int> fdm_of;
@@ -407,17 +388,17 @@ std::vector<double> ref_apply(const PressureSystem& ps,
     for (std::size_t i0 = 0; i0 < groups[gi].size(); i0 += kBatch) {
       const int count =
           static_cast<int>(std::min<std::size_t>(kBatch, groups[gi].size() - i0));
-      std::vector<T> br(count * nle, T(0)), bz(count * nle),
+      std::vector<double> br(count * nle, 0.0), bz(count * nle),
           work(3 * count * nle);
       for (int b = 0; b < count; ++b) {
         const int e = groups[gi][i0 + b];
-        T* rloc = br.data() + b * nle;
+        double* rloc = br.data() + b * nle;
         const std::size_t poff = static_cast<std::size_t>(e) * npe;
         for (int q = 0; q < npe; ++q) {
           int i = q % ng1, j = (q / ng1) % ng1, k = q / (ng1 * ng1);
           const int o = dim == 2 ? (j + ov) * m1 + (i + ov)
                                  : ((k + ov) * m1 + (j + ov)) * m1 + (i + ov);
-          rloc[o] = static_cast<T>(r[poff + q]);
+          rloc[o] = r[poff + q];
         }
         for (int f = 0; f < 2 * dim; ++f)
           for (int l = 0; l < ov; ++l)
@@ -428,19 +409,16 @@ std::vector<double> ref_apply(const PressureSystem& ps,
                   ghost[static_cast<std::size_t>(l) * ns + slot];
             }
       }
-      if constexpr (std::is_same_v<T, float>)
-        fdm[gi].solve_batch_f32(br.data(), bz.data(), count, work.data());
-      else
-        fdm[gi].solve_batch(br.data(), bz.data(), count, work.data());
+      fdm[gi].solve_batch(br.data(), bz.data(), count, work.data());
       for (int b = 0; b < count; ++b) {
         const int e = groups[gi][i0 + b];
-        const T* zloc = bz.data() + b * nle;
+        const double* zloc = bz.data() + b * nle;
         const std::size_t poff = static_cast<std::size_t>(e) * npe;
         for (int q = 0; q < npe; ++q) {
           int i = q % ng1, j = (q / ng1) % ng1, k = q / (ng1 * ng1);
           const int o = dim == 2 ? (j + ov) * m1 + (i + ov)
                                  : ((k + ov) * m1 + (j + ov)) * m1 + (i + ov);
-          z[poff + q] += static_cast<double>(zloc[o]);
+          z[poff + q] += zloc[o];
         }
         for (int f = 0; f < 2 * dim; ++f)
           for (int l = 0; l < ov; ++l)
@@ -523,16 +501,14 @@ int team_size() {
 #endif
 }
 
-template <typename T>
 void expect_ghost_bitwise(const tsem::GhostExchange& gx, std::size_t np,
                           int nthreads) {
   const std::size_t nv = static_cast<std::size_t>(gx.nlayers()) * gx.nslots();
   const auto pv = random_vec(np, 61);
-  const auto v64 = random_vec(nv, 67);
-  const std::vector<T> v(v64.begin(), v64.end());
+  const auto v = random_vec(nv, 67);
   const auto base = random_vec(np, 71);  // scatter_add accumulates onto it
 
-  std::vector<T> gref(nv), ggot(nv, T(1));
+  std::vector<double> gref(nv), ggot(nv, 1.0);
   std::vector<double> pref = base, pgot = base;
   ref_exchange(gx, pv.data(), gref.data());
   ref_scatter_add(gx, v.data(), pref.data());
@@ -540,13 +516,10 @@ void expect_ghost_bitwise(const tsem::GhostExchange& gx, std::size_t np,
     gx.exchange(pv.data(), ggot.data());
     gx.scatter_add(v.data(), pgot.data());
   });
-  const char* prec = std::is_same_v<T, float> ? "FP32" : "FP64";
   EXPECT_TRUE(bitwise_equal(gref, ggot))
-      << "exchange " << prec << ", nlayers " << gx.nlayers() << ", "
-      << nthreads << "t";
+      << "exchange, nlayers " << gx.nlayers() << ", " << nthreads << "t";
   EXPECT_TRUE(bitwise_equal(pref, pgot))
-      << "scatter_add " << prec << ", nlayers " << gx.nlayers() << ", "
-      << nthreads << "t";
+      << "scatter_add, nlayers " << gx.nlayers() << ", " << nthreads << "t";
 }
 
 void expect_schwarz_bitwise(const PressureSystem& ps) {
@@ -555,28 +528,16 @@ void expect_schwarz_bitwise(const PressureSystem& ps) {
   for (int nlayers : {1, 2}) {
     const tsem::GhostExchange gx(ps, nlayers);
     ASSERT_GT(gx.nslots(), tsem::kParallelMinItems);
-    for (int nt : {1, team_size()}) {
-      expect_ghost_bitwise<double>(gx, ps.nloc(), nt);
-      expect_ghost_bitwise<float>(gx, ps.nloc(), nt);
-    }
+    for (int nt : {1, team_size()})
+      expect_ghost_bitwise(gx, ps.nloc(), nt);
   }
-  for (auto precision :
-       {tsem::PrecondPrecision::Fp64, tsem::PrecondPrecision::Fp32}) {
-    SchwarzOptions opt;
-    opt.precision = precision;
-    const SchwarzPrecond pre(ps, opt);
-    ASSERT_EQ(pre.precision(), precision);
-    const auto r = random_vec(ps.nloc(), 73);
-    const auto zref = precision == tsem::PrecondPrecision::Fp32
-                          ? ref_apply<float>(ps, pre, r.data())
-                          : ref_apply<double>(ps, pre, r.data());
-    for (int nt : {1, team_size()}) {
-      std::vector<double> z(ps.nloc(), 1.0);  // stale data apply overwrites
-      at_threads(nt, [&] { pre.apply(r.data(), z.data()); });
-      EXPECT_TRUE(bitwise_equal(zref, z))
-          << "apply " << tsem::precond_precision_name(precision) << ", " << nt
-          << "t";
-    }
+  const SchwarzPrecond pre(ps, SchwarzOptions{});
+  const auto r = random_vec(ps.nloc(), 73);
+  const auto zref = ref_apply(ps, pre, r.data());
+  for (int nt : {1, team_size()}) {
+    std::vector<double> z(ps.nloc(), 1.0);  // stale data apply overwrites
+    at_threads(nt, [&] { pre.apply(r.data(), z.data()); });
+    EXPECT_TRUE(bitwise_equal(zref, z)) << "apply, " << nt << "t";
   }
 }
 
