@@ -14,7 +14,6 @@
 // N_o = 1, overlap reduces iterations (N_o = 3 < 1 < 0), FDM fastest in
 // cpu, and A0 = 0 blowing up the count by several-fold, growing with K.
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #ifdef _OPENMP
@@ -26,7 +25,6 @@
 #include "core/space.hpp"
 #include "mesh/build.hpp"
 #include "mesh/spec.hpp"
-#include "ns/navier_stokes.hpp"
 #include "obs/bench_report.hpp"
 #include "solver/cg.hpp"
 #include "solver/schwarz.hpp"

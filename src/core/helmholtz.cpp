@@ -21,9 +21,7 @@ HelmholtzOp::HelmholtzOp(const Space& space, double h1, double h2,
 }
 
 void HelmholtzOp::apply(const double* u, double* w) const {
-  apply_helmholtz_local(space_->mesh(), h1_, h2_, u, w, work_);
-  space_->gs().op(w);
-  for (std::size_t i = 0; i < mask_.size(); ++i) w[i] *= mask_[i];
+  apply_multi(&u, &w, 1);
 }
 
 void HelmholtzOp::apply_multi(const double* const* u, double* const* w,
@@ -34,71 +32,6 @@ void HelmholtzOp::apply_multi(const double* const* u, double* const* w,
     double* wf = w[f];
     for (std::size_t i = 0; i < mask_.size(); ++i) wf[i] *= mask_[i];
   }
-}
-
-CgResult helmholtz_solve(const HelmholtzOp& h,
-                         const std::vector<double>& bcvals,
-                         const std::vector<double>& rhs_weak,
-                         std::vector<double>& out,
-                         const HelmholtzSolveOptions& opt, TensorWork& work,
-                         HelmholtzSolveScratch* scratch) {
-  const obs::ScopedTimer timer("helmholtz/solve");
-  const Space& space = h.space();
-  const Mesh& m = space.mesh();
-  const std::vector<double>& mask = h.mask();
-  const std::size_t nl = space.nlocal();
-  TSEM_REQUIRE(bcvals.size() == nl && rhs_weak.size() == nl &&
-               out.size() == nl);
-
-  HelmholtzSolveScratch local;
-  HelmholtzSolveScratch& scr = scratch ? *scratch : local;
-  if (scr.ub.size() < nl) {
-    scr.ub.resize(nl);
-    scr.b.resize(nl);
-    scr.t.resize(nl);
-    scr.x.resize(nl);
-  }
-  double* const ub = scr.ub.data();
-  double* const b = scr.b.data();
-  double* const t = scr.t.data();
-  double* const x = scr.x.data();
-
-  // Lift: ub carries the Dirichlet values, zero elsewhere.
-  for (std::size_t i = 0; i < nl; ++i) {
-    ub[i] = (1.0 - mask[i]) * bcvals[i];
-    b[i] = rhs_weak[i];
-  }
-  space.gs().op(b);
-  apply_helmholtz_local(m, h.h1(), h.h2(), ub, t, work);
-  space.gs().op(t);
-  for (std::size_t i = 0; i < nl; ++i) b[i] = (b[i] - t[i]) * mask[i];
-
-  // Initial guess: previous solution minus the lift (or zero).
-  if (opt.zero_guess)
-    for (std::size_t i = 0; i < nl; ++i) x[i] = 0.0;
-  else
-    for (std::size_t i = 0; i < nl; ++i) x[i] = (out[i] - ub[i]) * mask[i];
-
-  auto apply = [&](const double* xx, double* yy) { h.apply(xx, yy); };
-  auto dot = [&](const double* a2, const double* b2) {
-    return space.glsum_dot(a2, b2);
-  };
-  // Reference the operator's diagonal in place: jacobi_precond would copy
-  // the field-length vector on every call.
-  const std::vector<double>& dg = h.diagonal();
-  auto prec = [&dg](const double* r, double* z) {
-    for (std::size_t i = 0; i < dg.size(); ++i) z[i] = r[i] / dg[i];
-  };
-  CgOptions copt;
-  copt.tol = opt.tol;
-  copt.relative = true;
-  copt.max_iter = opt.max_iter;
-  auto res = pcg(nl, apply, prec, dot, b, x, copt, &scr.cg);
-  // On a hard failure x is garbage; keep the caller's field intact so the
-  // recovery ladder can retry from a consistent state.
-  if (!is_hard_failure(res.status))
-    for (std::size_t i = 0; i < nl; ++i) out[i] = x[i] + ub[i];
-  return res;
 }
 
 int helmholtz_solve_multi(const HelmholtzOp& h,
@@ -120,32 +53,31 @@ int helmholtz_solve_multi(const HelmholtzOp& h,
 
   HelmholtzSolveScratch local;
   HelmholtzSolveScratch& scr = scratch ? *scratch : local;
-  if (static_cast<int>(scr.mub.size()) < nf) {
-    scr.mub.resize(nf);
-    scr.mb.resize(nf);
-    scr.mt.resize(nf);
-    scr.mx.resize(nf);
-    scr.mcg.resize(nf);
+  if (static_cast<int>(scr.ub.size()) < nf) {
+    scr.ub.resize(nf);
+    scr.b.resize(nf);
+    scr.t.resize(nf);
+    scr.x.resize(nf);
+    scr.cg.resize(nf);
   }
   for (int f = 0; f < nf; ++f) {
-    if (scr.mub[f].size() < nl) {
-      scr.mub[f].resize(nl);
-      scr.mb[f].resize(nl);
-      scr.mt[f].resize(nl);
-      scr.mx[f].resize(nl);
+    if (scr.ub[f].size() < nl) {
+      scr.ub[f].resize(nl);
+      scr.b[f].resize(nl);
+      scr.t[f].resize(nl);
+      scr.x[f].resize(nl);
     }
-    scr.mcg[f].ensure(nl);
+    scr.cg[f].ensure(nl);
   }
 
-  // Setup, field by field where the work is field-local and fused where an
-  // element sweep is involved.  Every per-field statement matches
-  // helmholtz_solve line for line, so the iterates are bitwise identical
-  // to nf sequential solves.
+  // Lift: ub carries the Dirichlet values, zero elsewhere; b is the
+  // assembled rhs minus H ub.  The element work for all fields runs in one
+  // operator call.
   const double* ubp[kMaxSolveFields];
   double* tp[kMaxSolveFields];
   for (int f = 0; f < nf; ++f) {
-    double* const ub = scr.mub[f].data();
-    double* const b = scr.mb[f].data();
+    double* const ub = scr.ub[f].data();
+    double* const b = scr.b[f].data();
     const double* bc = bcvals[f]->data();
     const double* rw = rhs_weak[f]->data();
     for (std::size_t i = 0; i < nl; ++i) {
@@ -154,15 +86,15 @@ int helmholtz_solve_multi(const HelmholtzOp& h,
     }
     space.gs().op(b);
     ubp[f] = ub;
-    tp[f] = scr.mt[f].data();
+    tp[f] = scr.t[f].data();
   }
   apply_helmholtz_local_multi(m, h.h1(), h.h2(), ubp, tp, nf, work);
   for (int f = 0; f < nf; ++f) {
     space.gs().op(tp[f]);
-    double* const b = scr.mb[f].data();
+    double* const b = scr.b[f].data();
     const double* t = tp[f];
     const double* ub = ubp[f];
-    double* const x = scr.mx[f].data();
+    double* const x = scr.x[f].data();
     const double* o = out[f]->data();
     for (std::size_t i = 0; i < nl; ++i) b[i] = (b[i] - t[i]) * mask[i];
     if (opt.zero_guess)
@@ -180,7 +112,7 @@ int helmholtz_solve_multi(const HelmholtzOp& h,
   };
 
   // Per-field CG state, mirroring pcg() exactly (cg.hpp); a field whose
-  // recurrence exits simply drops out of the fused applies.
+  // recurrence exits simply drops out of the applies.
   struct Field {
     double* r;
     double* z;
@@ -196,11 +128,11 @@ int helmholtz_solve_multi(const HelmholtzOp& h,
     const double* xin[kMaxSolveFields];
     double* apout[kMaxSolveFields];
     for (int f = 0; f < nf; ++f) {
-      st[f].r = scr.mcg[f].r.data();
-      st[f].z = scr.mcg[f].z.data();
-      st[f].p = scr.mcg[f].p.data();
-      st[f].ap = scr.mcg[f].ap.data();
-      xin[f] = scr.mx[f].data();
+      st[f].r = scr.cg[f].r.data();
+      st[f].z = scr.cg[f].z.data();
+      st[f].p = scr.cg[f].p.data();
+      st[f].ap = scr.cg[f].ap.data();
+      xin[f] = scr.x[f].data();
       apout[f] = st[f].ap;
     }
     h.apply_multi(xin, apout, nf);
@@ -211,7 +143,7 @@ int helmholtz_solve_multi(const HelmholtzOp& h,
     Field& s = st[f];
     CgResult& res = results[f];
     res = CgResult{};
-    const double* b = scr.mb[f].data();
+    const double* b = scr.b[f].data();
     for (std::size_t i = 0; i < nl; ++i) s.r[i] = b[i] - s.ap[i];
     s.rnorm = std::sqrt(dot(s.r, s.r));
     res.initial_residual = s.rnorm;
@@ -241,7 +173,7 @@ int helmholtz_solve_multi(const HelmholtzOp& h,
     ++nactive;
   }
 
-  const CgOptions copt;  // stall_window default, as in helmholtz_solve
+  const CgOptions copt;  // stall_window default, as in pcg()
   for (int it = 1; it <= opt.max_iter && nactive > 0; ++it) {
     const double* pp[kMaxSolveFields];
     double* app[kMaxSolveFields];
@@ -268,7 +200,7 @@ int helmholtz_solve_multi(const HelmholtzOp& h,
         continue;
       }
       const double alpha = s.rz / pap;
-      double* const x = scr.mx[f].data();
+      double* const x = scr.x[f].data();
       for (std::size_t i = 0; i < nl; ++i) {
         x[i] += alpha * s.p[i];
         s.r[i] -= alpha * s.ap[i];
@@ -322,8 +254,8 @@ int helmholtz_solve_multi(const HelmholtzOp& h,
                       res.final_residual, to_string(res.status));
     if (!is_hard_failure(res.status)) {
       double* o = out[f]->data();
-      const double* x = scr.mx[f].data();
-      const double* ub = scr.mub[f].data();
+      const double* x = scr.x[f].data();
+      const double* ub = scr.ub[f].data();
       for (std::size_t i = 0; i < nl; ++i) o[i] = x[i] + ub[i];
     }
     const bool failed =

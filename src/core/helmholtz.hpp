@@ -20,13 +20,13 @@ class HelmholtzOp {
   HelmholtzOp(const Space& space, double h1, double h2,
               std::vector<double> mask);
 
-  /// w = mask .* QQ^T (h1 A_L + h2 B_L) u for a C0, masked input u.
+  /// w = mask .* QQ^T (h1 A_L + h2 B_L) u for a C0, masked input u
+  /// (apply_multi with nf = 1).
   void apply(const double* u, double* w) const;
 
-  /// Fused apply over nf independent fields (one element sweep streams the
-  /// derivative matrices and G factors across all fields; see
-  /// apply_helmholtz_local_multi).  w[f] is bitwise identical to nf
-  /// separate apply() calls.
+  /// apply() over nf independent fields: one element loop for all fields
+  /// (apply_helmholtz_local_multi), then gather-scatter and mask per field.
+  /// w[f] is bitwise identical to nf separate apply() calls.
   void apply_multi(const double* const* u, double* const* w, int nf) const;
 
   /// Assembled, masked diagonal (1.0 at masked nodes) for Jacobi.
@@ -53,56 +53,42 @@ struct HelmholtzSolveOptions {
   bool zero_guess = false;
 };
 
-/// Persistent buffers for helmholtz_solve: the Dirichlet lift, assembled
-/// rhs, operator scratch, CG iterate and the Krylov vectors.  Callers
-/// that solve every time step hold one so steady-state solves never touch
-/// the allocator.  Kept OUTSIDE the TensorWork arena on purpose: the
-/// solve passes that arena down into apply_helmholtz_local, which would
-/// clobber any slab the solve itself had claimed (see workspace.hpp).
+/// Persistent per-field buffers for helmholtz_solve_multi: the Dirichlet
+/// lift, assembled rhs, operator scratch, CG iterate and the Krylov vectors
+/// (entry f serves field f).  Callers that solve every time step hold one
+/// so steady-state solves never touch the allocator.  Kept OUTSIDE the
+/// TensorWork arena on purpose: the solve passes that arena down into
+/// apply_helmholtz_local_multi, which would clobber any slab the solve
+/// itself had claimed (see workspace.hpp).
 struct HelmholtzSolveScratch {
-  std::vector<double> ub, b, t, x;
-  CgScratch cg;
-  // Per-field buffers for helmholtz_solve_multi (kept separate from the
-  // single-field members so mixing both entry points on one scratch is
-  // safe).
-  std::vector<std::vector<double>> mub, mb, mt, mx;
-  std::vector<CgScratch> mcg;
+  std::vector<std::vector<double>> ub, b, t, x;
+  std::vector<CgScratch> cg;
 };
-
-/// Dirichlet-lifted Jacobi-PCG solve of H u = rhs_weak on the operator's
-/// masked C0 space.  `bcvals` carries the Dirichlet values (read where the
-/// operator's mask is 0); `rhs_weak` is the unassembled weak-form rhs;
-/// `out` holds the previous solution on entry (warm start unless
-/// zero_guess) and the solution on return.  The returned CgResult carries
-/// the SolveStatus the time stepper's recovery policy keys on; on a
-/// NonFinite/Breakdown exit `out` is left untouched.  Pass a persistent
-/// `scratch` to make repeated solves allocation-free.
-CgResult helmholtz_solve(const HelmholtzOp& h,
-                         const std::vector<double>& bcvals,
-                         const std::vector<double>& rhs_weak,
-                         std::vector<double>& out,
-                         const HelmholtzSolveOptions& opt, TensorWork& work,
-                         HelmholtzSolveScratch* scratch = nullptr);
 
 /// Field cap for helmholtz_solve_multi (stack-sized pointer arrays).
 inline constexpr int kMaxSolveFields = 8;
 
-/// Lockstep multi-field variant of helmholtz_solve: nf independent
-/// right-hand sides of the SAME operator are solved in one CG loop whose
-/// operator applies are fused (apply_multi), so the element data streams
-/// once per iteration for all fields instead of once per field.
+/// Dirichlet-lifted Jacobi-PCG solve of H u[f] = rhs_weak[f] for nf
+/// independent right-hand sides of the SAME operator, in one lockstep CG
+/// loop whose operator applies go through apply_multi (one element loop
+/// per iteration for all active fields).  `bcvals[f]` carries the
+/// Dirichlet values (read where the operator's mask is 0); `rhs_weak[f]`
+/// is the unassembled weak-form rhs; `out[f]` holds the previous solution
+/// on entry (warm start unless zero_guess) and the solution on return.
+/// Pass a persistent `scratch` to make repeated solves allocation-free.
 ///
-/// Each field runs its own CG recurrence (its own alpha/beta/dots) and
-/// drops out of the fused apply the moment it exits, so per-field iterates,
-/// iteration counts and statuses are bitwise identical to nf sequential
-/// helmholtz_solve calls.  results[0..nf-1] receives each field's CgResult.
+/// Each field runs pcg()'s recurrence (cg.hpp) with its own alpha/beta/dots
+/// and drops out of the applies the moment it exits, so per-field iterates,
+/// iteration counts and statuses are bitwise identical to nf separate pcg()
+/// solves.  results[0..nf-1] receives each field's CgResult, whose
+/// SolveStatus the time stepper's recovery policy keys on.
 ///
 /// Commit semantics mirror a sequential loop that stops at the first
 /// failure (failed = hard failure, or MaxIter when maxiter_is_failure):
 /// out[f] is committed in field order up to and including the first failed
-/// field (hard-failed fields keep the caller's data, as in
-/// helmholtz_solve), and fields after it are left untouched.  Returns the
-/// index of the first failed field, or nf when every field succeeded.
+/// field, except that a NonFinite/Breakdown field keeps the caller's data,
+/// and fields after it are left untouched.  Returns the index of the first
+/// failed field, or nf when every field succeeded.
 int helmholtz_solve_multi(const HelmholtzOp& h,
                           const std::vector<double>* const* bcvals,
                           const std::vector<double>* const* rhs_weak,

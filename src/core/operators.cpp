@@ -6,15 +6,31 @@
 namespace tsem {
 namespace {
 
-void stiffness_elem_2d(const Basis1D& b, const double* g, std::size_t nl,
-                       std::size_t off, int npe, const double* u, double* w,
-                       double* ur, double* us, double* t) {
+// Per-element scratch every kernel below draws from the calling thread's
+// arena slab: dim reference derivatives plus one accumulator.
+std::size_t elem_scratch(const Mesh& m) {
+  return 4 * static_cast<std::size_t>(m.npe);
+}
+
+// One element of the paper's §3 operator, A^k = (D_r D_s)^T [G] (D_r D_s).
+// `goff` is the element's offset into the mesh geometry (G factors, mass);
+// u and w are the element's field blocks.  With bm null this is the
+// stiffness w = A^k u; otherwise bm is the element's mass diagonal and
+// w = h1 * A^k u + h2 * B^k u, added in the last accumulate pass.
+void helmholtz_elem_2d(const Mesh& m, const Basis1D& b, std::size_t goff,
+                       const double* bm, double h1, double h2,
+                       const double* u, double* w, double* s) {
   const int n1 = b.npts();
+  const int npe = m.npe;
+  const std::size_t nl = m.nlocal();
+  double* ur = s;
+  double* us = s + npe;
+  double* t = s + 2 * static_cast<std::size_t>(npe);
   tensor2_apply_x(b.d.data(), n1, n1, u, ur);
   tensor2_apply_y(b.d.data(), n1, n1, u, us);
-  const double* grr = g + 0 * nl + off;
-  const double* grs = g + 1 * nl + off;
-  const double* gss = g + 2 * nl + off;
+  const double* grr = m.g.data() + 0 * nl + goff;
+  const double* grs = m.g.data() + 1 * nl + goff;
+  const double* gss = m.g.data() + 2 * nl + goff;
   for (int n = 0; n < npe; ++n) {
     const double wr = grr[n] * ur[n] + grs[n] * us[n];
     const double ws = grs[n] * ur[n] + gss[n] * us[n];
@@ -23,22 +39,33 @@ void stiffness_elem_2d(const Basis1D& b, const double* g, std::size_t nl,
   }
   tensor2_apply_x(b.dt.data(), n1, n1, ur, w);
   tensor2_apply_y(b.dt.data(), n1, n1, us, t);
-  for (int n = 0; n < npe; ++n) w[n] += t[n];
+  if (bm)
+    for (int n = 0; n < npe; ++n)
+      w[n] = h1 * (w[n] + t[n]) + h2 * bm[n] * u[n];
+  else
+    for (int n = 0; n < npe; ++n) w[n] += t[n];
 }
 
-void stiffness_elem_3d(const Basis1D& b, const double* g, std::size_t nl,
-                       std::size_t off, int npe, const double* u, double* w,
-                       double* ur, double* us, double* ut, double* t) {
+// 3D counterpart of helmholtz_elem_2d (A^k with D_t and six G factors).
+void helmholtz_elem_3d(const Mesh& m, const Basis1D& b, std::size_t goff,
+                       const double* bm, double h1, double h2,
+                       const double* u, double* w, double* s) {
   const int n1 = b.npts();
+  const int npe = m.npe;
+  const std::size_t nl = m.nlocal();
+  double* ur = s;
+  double* us = s + npe;
+  double* ut = s + 2 * static_cast<std::size_t>(npe);
+  double* t = s + 3 * static_cast<std::size_t>(npe);
   tensor3_apply_x(b.d.data(), n1, n1, n1, u, ur);
   tensor3_apply_y(b.d.data(), n1, n1, n1, u, us);
   tensor3_apply_z(b.d.data(), n1, n1, n1, u, ut);
-  const double* grr = g + 0 * nl + off;
-  const double* grs = g + 1 * nl + off;
-  const double* grt = g + 2 * nl + off;
-  const double* gss = g + 3 * nl + off;
-  const double* gst = g + 4 * nl + off;
-  const double* gtt = g + 5 * nl + off;
+  const double* grr = m.g.data() + 0 * nl + goff;
+  const double* grs = m.g.data() + 1 * nl + goff;
+  const double* grt = m.g.data() + 2 * nl + goff;
+  const double* gss = m.g.data() + 3 * nl + goff;
+  const double* gst = m.g.data() + 4 * nl + goff;
+  const double* gtt = m.g.data() + 5 * nl + goff;
   for (int n = 0; n < npe; ++n) {
     const double wr = grr[n] * ur[n] + grs[n] * us[n] + grt[n] * ut[n];
     const double ws = grs[n] * ur[n] + gss[n] * us[n] + gst[n] * ut[n];
@@ -51,89 +78,171 @@ void stiffness_elem_3d(const Basis1D& b, const double* g, std::size_t nl,
   tensor3_apply_y(b.dt.data(), n1, n1, n1, us, t);
   for (int n = 0; n < npe; ++n) w[n] += t[n];
   tensor3_apply_z(b.dt.data(), n1, n1, n1, ut, t);
-  for (int n = 0; n < npe; ++n) w[n] += t[n];
+  if (bm)
+    for (int n = 0; n < npe; ++n)
+      w[n] = h1 * (w[n] + t[n]) + h2 * bm[n] * u[n];
+  else
+    for (int n = 0; n < npe; ++n) w[n] += t[n];
 }
 
-// Fused stiffness element kernels: derivative applies per field with hot
-// D matrices, then ONE pointwise pass that loads each G factor once and
-// serves every field.  Per-field expressions match stiffness_elem_* so
-// results are bitwise identical to per-field calls.
-void stiffness_elem_2d_multi(const Basis1D& b, const double* g,
-                             std::size_t nl, std::size_t off, int npe,
-                             const double* const* u, double* const* w,
-                             int nfc, double* slab) {
+void helmholtz_elem(const Mesh& m, const Basis1D& b, std::size_t goff,
+                    bool mass, double h1, double h2, const double* u,
+                    double* w, double* s) {
+  const double* bm = mass ? m.bm.data() + goff : nullptr;
+  if (m.dim == 2)
+    helmholtz_elem_2d(m, b, goff, bm, h1, h2, u, w, s);
+  else
+    helmholtz_elem_3d(m, b, goff, bm, h1, h2, u, w, s);
+}
+
+// grad[c] = du/dx_c on element `off`: reference derivatives, then the
+// chain rule with the stored metrics.
+void gradient_elem(const Mesh& m, const Basis1D& b, std::size_t off,
+                   const double* u, double* const* grad, double* s) {
   const int n1 = b.npts();
-  double* ur = slab;                                      // nfc * npe
-  double* us = slab + static_cast<std::size_t>(nfc) * npe;  // nfc * npe
-  double* t = us + static_cast<std::size_t>(nfc) * npe;     // npe
-  for (int f = 0; f < nfc; ++f) {
-    tensor2_apply_x(b.d.data(), n1, n1, u[f] + off, ur + f * npe);
-    tensor2_apply_y(b.d.data(), n1, n1, u[f] + off, us + f * npe);
-  }
-  const double* grr = g + 0 * nl + off;
-  const double* grs = g + 1 * nl + off;
-  const double* gss = g + 2 * nl + off;
-  for (int n = 0; n < npe; ++n) {
-    const double vrr = grr[n], vrs = grs[n], vss = gss[n];
-    for (int f = 0; f < nfc; ++f) {
-      double* urf = ur + f * npe;
-      double* usf = us + f * npe;
-      const double wr = vrr * urf[n] + vrs * usf[n];
-      const double ws = vrs * urf[n] + vss * usf[n];
-      urf[n] = wr;
-      usf[n] = ws;
+  const int npe = m.npe;
+  double* ur = s;
+  double* us = s + npe;
+  double* ut = s + 2 * static_cast<std::size_t>(npe);
+  if (m.dim == 2) {
+    tensor2_apply_x(b.d.data(), n1, n1, u + off, ur);
+    tensor2_apply_y(b.d.data(), n1, n1, u + off, us);
+    const double* rx = m.metric(0, 0) + off;
+    const double* ry = m.metric(0, 1) + off;
+    const double* sx = m.metric(1, 0) + off;
+    const double* sy = m.metric(1, 1) + off;
+    for (int n = 0; n < npe; ++n) {
+      grad[0][off + n] = rx[n] * ur[n] + sx[n] * us[n];
+      grad[1][off + n] = ry[n] * ur[n] + sy[n] * us[n];
     }
-  }
-  for (int f = 0; f < nfc; ++f) {
-    tensor2_apply_x(b.dt.data(), n1, n1, ur + f * npe, w[f] + off);
-    tensor2_apply_y(b.dt.data(), n1, n1, us + f * npe, t);
-    double* wf = w[f] + off;
-    for (int n = 0; n < npe; ++n) wf[n] += t[n];
+  } else {
+    tensor3_apply_x(b.d.data(), n1, n1, n1, u + off, ur);
+    tensor3_apply_y(b.d.data(), n1, n1, n1, u + off, us);
+    tensor3_apply_z(b.d.data(), n1, n1, n1, u + off, ut);
+    for (int c = 0; c < 3; ++c) {
+      const double* rc = m.metric(0, c) + off;
+      const double* sc = m.metric(1, c) + off;
+      const double* tc = m.metric(2, c) + off;
+      double* gc = grad[c] + off;
+      for (int n = 0; n < npe; ++n)
+        gc[n] = rc[n] * ur[n] + sc[n] * us[n] + tc[n] * ut[n];
+    }
   }
 }
 
-void stiffness_elem_3d_multi(const Basis1D& b, const double* g,
-                             std::size_t nl, std::size_t off, int npe,
-                             const double* const* u, double* const* w,
-                             int nfc, double* slab) {
+// conv = (vel . grad) u on element `off`.  Fused gradient + dot product:
+// the reference derivatives stay in the element scratch and the chain
+// rule feeds the velocity dot product directly, instead of materializing
+// dim full-length gradient fields.
+void convect_elem(const Mesh& m, const Basis1D& b, std::size_t off,
+                  const double* const* vel, const double* u, double* conv,
+                  double* s) {
   const int n1 = b.npts();
-  double* ur = slab;
-  double* us = slab + static_cast<std::size_t>(nfc) * npe;
-  double* ut = us + static_cast<std::size_t>(nfc) * npe;
-  double* t = ut + static_cast<std::size_t>(nfc) * npe;  // npe
-  for (int f = 0; f < nfc; ++f) {
-    tensor3_apply_x(b.d.data(), n1, n1, n1, u[f] + off, ur + f * npe);
-    tensor3_apply_y(b.d.data(), n1, n1, n1, u[f] + off, us + f * npe);
-    tensor3_apply_z(b.d.data(), n1, n1, n1, u[f] + off, ut + f * npe);
-  }
-  const double* grr = g + 0 * nl + off;
-  const double* grs = g + 1 * nl + off;
-  const double* grt = g + 2 * nl + off;
-  const double* gss = g + 3 * nl + off;
-  const double* gst = g + 4 * nl + off;
-  const double* gtt = g + 5 * nl + off;
-  for (int n = 0; n < npe; ++n) {
-    const double vrr = grr[n], vrs = grs[n], vrt = grt[n];
-    const double vss = gss[n], vst = gst[n], vtt = gtt[n];
-    for (int f = 0; f < nfc; ++f) {
-      double* urf = ur + f * npe;
-      double* usf = us + f * npe;
-      double* utf = ut + f * npe;
-      const double wr = vrr * urf[n] + vrs * usf[n] + vrt * utf[n];
-      const double ws = vrs * urf[n] + vss * usf[n] + vst * utf[n];
-      const double wt = vrt * urf[n] + vst * usf[n] + vtt * utf[n];
-      urf[n] = wr;
-      usf[n] = ws;
-      utf[n] = wt;
+  const int npe = m.npe;
+  double* ur = s;
+  double* us = s + npe;
+  double* ut = s + 2 * static_cast<std::size_t>(npe);
+  if (m.dim == 2) {
+    tensor2_apply_x(b.d.data(), n1, n1, u + off, ur);
+    tensor2_apply_y(b.d.data(), n1, n1, u + off, us);
+    const double* rx = m.metric(0, 0) + off;
+    const double* ry = m.metric(0, 1) + off;
+    const double* sx = m.metric(1, 0) + off;
+    const double* sy = m.metric(1, 1) + off;
+    const double* v0 = vel[0] + off;
+    const double* v1 = vel[1] + off;
+    for (int n = 0; n < npe; ++n) {
+      const double gx = rx[n] * ur[n] + sx[n] * us[n];
+      const double gy = ry[n] * ur[n] + sy[n] * us[n];
+      conv[off + n] = v0[n] * gx + v1[n] * gy;
+    }
+  } else {
+    tensor3_apply_x(b.d.data(), n1, n1, n1, u + off, ur);
+    tensor3_apply_y(b.d.data(), n1, n1, n1, u + off, us);
+    tensor3_apply_z(b.d.data(), n1, n1, n1, u + off, ut);
+    const double* v0 = vel[0] + off;
+    const double* v1 = vel[1] + off;
+    const double* v2 = vel[2] + off;
+    const double* rx = m.metric(0, 0) + off;
+    const double* sx = m.metric(1, 0) + off;
+    const double* tx = m.metric(2, 0) + off;
+    const double* ry = m.metric(0, 1) + off;
+    const double* sy = m.metric(1, 1) + off;
+    const double* ty = m.metric(2, 1) + off;
+    const double* rz = m.metric(0, 2) + off;
+    const double* sz = m.metric(1, 2) + off;
+    const double* tz = m.metric(2, 2) + off;
+    for (int n = 0; n < npe; ++n) {
+      const double gx = rx[n] * ur[n] + sx[n] * us[n] + tx[n] * ut[n];
+      const double gy = ry[n] * ur[n] + sy[n] * us[n] + ty[n] * ut[n];
+      const double gz = rz[n] * ur[n] + sz[n] * us[n] + tz[n] * ut[n];
+      conv[off + n] = v0[n] * gx + v1[n] * gy + v2[n] * gz;
     }
   }
-  for (int f = 0; f < nfc; ++f) {
-    double* wf = w[f] + off;
-    tensor3_apply_x(b.dt.data(), n1, n1, n1, ur + f * npe, wf);
-    tensor3_apply_y(b.dt.data(), n1, n1, n1, us + f * npe, t);
-    for (int n = 0; n < npe; ++n) wf[n] += t[n];
-    tensor3_apply_z(b.dt.data(), n1, n1, n1, ut + f * npe, t);
-    for (int n = 0; n < npe; ++n) wf[n] += t[n];
+}
+
+// u <- (F (x) F (x) F) u on element `off`, in place through the scratch.
+void filter_elem(const Mesh& m, const std::vector<double>& f, std::size_t off,
+                 double* u, double* s) {
+  const int n1 = m.n1d();
+  const int npe = m.npe;
+  // The tensor apply needs nz*ny*mx + nz*my*mx = 2*npe of scratch in 3D
+  // (npe in 2D) ahead of the npe-sized result.
+  if (m.dim == 2) {
+    tensor2_apply(f.data(), n1, n1, f.data(), n1, n1, u + off, s + npe, s);
+    for (int n = 0; n < npe; ++n) u[off + n] = s[npe + n];
+  } else {
+    tensor3_apply(f.data(), n1, n1, f.data(), n1, n1, f.data(), n1, n1,
+                  u + off, s + 2 * static_cast<std::size_t>(npe), s);
+    for (int n = 0; n < npe; ++n)
+      u[off + n] = s[2 * static_cast<std::size_t>(npe) + n];
+  }
+}
+
+// The one element loop of every *_local_multi entry: an OpenMP static
+// schedule over elements, each thread running kern(f, off, scratch) for
+// every field of its elements.  Element e writes only its own
+// [off, off + npe) block of each output and reads per-thread arena
+// scratch, so the result is deterministic and bitwise independent of the
+// thread count, and each field's values equal an nf = 1 call.
+template <class Kernel>
+void for_each_element(const Mesh& m, int nf, TensorWork& work,
+                      const Kernel& kern) {
+  const std::size_t ns = elem_scratch(m);
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+  for (int e = 0; e < m.nelem; ++e) {
+    double* s = work.get(ns);
+    const std::size_t off = static_cast<std::size_t>(e) * m.npe;
+    for (int f = 0; f < nf; ++f) kern(f, off, s);
+  }
+}
+
+void helmholtz_multi(const Mesh& m, bool mass, double h1, double h2,
+                     const double* const* u, double* const* w, int nf,
+                     TensorWork& work) {
+  const auto& b = Basis1D::get(m.order);
+  for_each_element(m, nf, work, [&](int f, std::size_t off, double* s) {
+    helmholtz_elem(m, b, off, mass, h1, h2, u[f] + off, w[f] + off, s);
+  });
+}
+
+// Serial by contract (header): the fork-safe mp entry point.  The kernel
+// takes the geometry offset and the field blocks separately, which is
+// what lets a packed rank-local field ride the global mesh geometry.
+void helmholtz_elems(const Mesh& m, bool mass, double h1, double h2,
+                     const std::int32_t* elems, const std::int32_t* blk,
+                     std::size_t nelems, const double* u, double* w,
+                     TensorWork& work) {
+  const auto& b = Basis1D::get(m.order);
+  const std::size_t npe = static_cast<std::size_t>(m.npe);
+  double* s = work.get(elem_scratch(m));
+  for (std::size_t i = 0; i < nelems; ++i) {
+    const std::size_t goff = static_cast<std::size_t>(elems[i]) * npe;
+    const std::size_t foff =
+        static_cast<std::size_t>(blk ? blk[i] : elems[i]) * npe;
+    helmholtz_elem(m, b, goff, mass, h1, h2, u + foff, w + foff, s);
   }
 }
 
@@ -141,80 +250,19 @@ void stiffness_elem_3d_multi(const Basis1D& b, const double* g,
 
 void apply_stiffness_local(const Mesh& m, const double* u, double* w,
                            TensorWork& work) {
-  const auto& b = Basis1D::get(m.order);
-  const std::size_t nl = m.nlocal();
-  const int npe = m.npe;
-  // Each element writes only its own [off, off + npe) block and reads
-  // per-thread arena scratch, so the static schedule is deterministic and
-  // bitwise thread-count independent.
-  if (m.dim == 2) {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (int e = 0; e < m.nelem; ++e) {
-      double* priv = work.get(3 * static_cast<std::size_t>(npe));
-      const std::size_t off = static_cast<std::size_t>(e) * npe;
-      stiffness_elem_2d(b, m.g.data(), nl, off, npe, u + off, w + off, priv,
-                        priv + npe, priv + 2 * static_cast<std::size_t>(npe));
-    }
-  } else {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (int e = 0; e < m.nelem; ++e) {
-      double* priv = work.get(4 * static_cast<std::size_t>(npe));
-      const std::size_t off = static_cast<std::size_t>(e) * npe;
-      stiffness_elem_3d(b, m.g.data(), nl, off, npe, u + off, w + off, priv,
-                        priv + npe, priv + 2 * static_cast<std::size_t>(npe),
-                        priv + 3 * static_cast<std::size_t>(npe));
-    }
-  }
+  apply_stiffness_local_multi(m, &u, &w, 1, work);
 }
 
 void apply_helmholtz_local(const Mesh& m, double h1, double h2,
                            const double* u, double* w, TensorWork& work) {
-  apply_stiffness_local(m, u, w, work);
-  const std::size_t nl = m.nlocal();
-  for (std::size_t i = 0; i < nl; ++i) w[i] = h1 * w[i] + h2 * m.bm[i] * u[i];
+  apply_helmholtz_local_multi(m, h1, h2, &u, &w, 1, work);
 }
 
 void apply_stiffness_local_elems(const Mesh& m, const std::int32_t* elems,
                                  const std::int32_t* blk, std::size_t nelems,
                                  const double* u, double* w,
                                  TensorWork& work) {
-  const auto& b = Basis1D::get(m.order);
-  const std::size_t nl = m.nlocal();
-  const int npe = m.npe;
-  // Serial by contract (header): the fork-safe mp entry point.  The
-  // element kernels take the metric offset and the field pointers
-  // separately, which is what lets a packed rank-local field ride the
-  // global mesh geometry.
-  if (m.dim == 2) {
-    double* priv = work.get(3 * static_cast<std::size_t>(npe));
-    for (std::size_t i = 0; i < nelems; ++i) {
-      const std::size_t goff =
-          static_cast<std::size_t>(elems[i]) * static_cast<std::size_t>(npe);
-      const std::size_t foff =
-          static_cast<std::size_t>(blk ? blk[i] : elems[i]) *
-          static_cast<std::size_t>(npe);
-      stiffness_elem_2d(b, m.g.data(), nl, goff, npe, u + foff, w + foff,
-                        priv, priv + npe,
-                        priv + 2 * static_cast<std::size_t>(npe));
-    }
-  } else {
-    double* priv = work.get(4 * static_cast<std::size_t>(npe));
-    for (std::size_t i = 0; i < nelems; ++i) {
-      const std::size_t goff =
-          static_cast<std::size_t>(elems[i]) * static_cast<std::size_t>(npe);
-      const std::size_t foff =
-          static_cast<std::size_t>(blk ? blk[i] : elems[i]) *
-          static_cast<std::size_t>(npe);
-      stiffness_elem_3d(b, m.g.data(), nl, goff, npe, u + foff, w + foff,
-                        priv, priv + npe,
-                        priv + 2 * static_cast<std::size_t>(npe),
-                        priv + 3 * static_cast<std::size_t>(npe));
-    }
-  }
+  helmholtz_elems(m, false, 0.0, 0.0, elems, blk, nelems, u, w, work);
 }
 
 void apply_helmholtz_local_elems(const Mesh& m, double h1, double h2,
@@ -222,17 +270,7 @@ void apply_helmholtz_local_elems(const Mesh& m, double h1, double h2,
                                  const std::int32_t* blk, std::size_t nelems,
                                  const double* u, double* w,
                                  TensorWork& work) {
-  apply_stiffness_local_elems(m, elems, blk, nelems, u, w, work);
-  const int npe = m.npe;
-  for (std::size_t i = 0; i < nelems; ++i) {
-    const double* bm = m.bm.data() + static_cast<std::size_t>(elems[i]) *
-                                         static_cast<std::size_t>(npe);
-    const std::size_t foff =
-        static_cast<std::size_t>(blk ? blk[i] : elems[i]) *
-        static_cast<std::size_t>(npe);
-    for (int n = 0; n < npe; ++n)
-      w[foff + n] = h1 * w[foff + n] + h2 * bm[n] * u[foff + n];
-  }
+  helmholtz_elems(m, true, h1, h2, elems, blk, nelems, u, w, work);
 }
 
 std::vector<double> stiffness_diagonal_local(const Mesh& m) {
@@ -301,334 +339,54 @@ std::vector<double> stiffness_diagonal_local(const Mesh& m) {
 
 void gradient_local(const Mesh& m, const double* u, double* const* grad,
                     TensorWork& work) {
-  const auto& b = Basis1D::get(m.order);
-  const int n1 = b.npts();
-  const int npe = m.npe;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int e = 0; e < m.nelem; ++e) {
-    double* buf = work.get(3 * static_cast<std::size_t>(npe));
-    double* ur = buf;
-    double* us = buf + npe;
-    double* ut = buf + 2 * static_cast<std::size_t>(npe);
-    const std::size_t off = static_cast<std::size_t>(e) * npe;
-    if (m.dim == 2) {
-      tensor2_apply_x(b.d.data(), n1, n1, u + off, ur);
-      tensor2_apply_y(b.d.data(), n1, n1, u + off, us);
-      const double* rx = m.metric(0, 0) + off;
-      const double* ry = m.metric(0, 1) + off;
-      const double* sx = m.metric(1, 0) + off;
-      const double* sy = m.metric(1, 1) + off;
-      for (int n = 0; n < npe; ++n) {
-        grad[0][off + n] = rx[n] * ur[n] + sx[n] * us[n];
-        grad[1][off + n] = ry[n] * ur[n] + sy[n] * us[n];
-      }
-    } else {
-      tensor3_apply_x(b.d.data(), n1, n1, n1, u + off, ur);
-      tensor3_apply_y(b.d.data(), n1, n1, n1, u + off, us);
-      tensor3_apply_z(b.d.data(), n1, n1, n1, u + off, ut);
-      for (int c = 0; c < 3; ++c) {
-        const double* rc = m.metric(0, c) + off;
-        const double* sc = m.metric(1, c) + off;
-        const double* tc = m.metric(2, c) + off;
-        double* gc = grad[c] + off;
-        for (int n = 0; n < npe; ++n)
-          gc[n] = rc[n] * ur[n] + sc[n] * us[n] + tc[n] * ut[n];
-      }
-    }
-  }
+  gradient_local_multi(m, &u, grad, 1, work);
 }
 
 void convect_local(const Mesh& m, const double* const* vel, const double* u,
                    double* conv, TensorWork& work) {
-  // Fused gradient + dot product: the reference derivatives stay in the
-  // element-sized thread slab and the chain rule feeds the velocity dot
-  // product directly, instead of materializing dim nlocal-length gradient
-  // fields (3 full-field round trips through memory per call).
-  const auto& b = Basis1D::get(m.order);
-  const int n1 = b.npts();
-  const int npe = m.npe;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int e = 0; e < m.nelem; ++e) {
-    double* buf = work.get(3 * static_cast<std::size_t>(npe));
-    double* ur = buf;
-    double* us = buf + npe;
-    double* ut = buf + 2 * static_cast<std::size_t>(npe);
-    const std::size_t off = static_cast<std::size_t>(e) * npe;
-    if (m.dim == 2) {
-      tensor2_apply_x(b.d.data(), n1, n1, u + off, ur);
-      tensor2_apply_y(b.d.data(), n1, n1, u + off, us);
-      const double* rx = m.metric(0, 0) + off;
-      const double* ry = m.metric(0, 1) + off;
-      const double* sx = m.metric(1, 0) + off;
-      const double* sy = m.metric(1, 1) + off;
-      const double* v0 = vel[0] + off;
-      const double* v1 = vel[1] + off;
-      for (int n = 0; n < npe; ++n) {
-        const double gx = rx[n] * ur[n] + sx[n] * us[n];
-        const double gy = ry[n] * ur[n] + sy[n] * us[n];
-        conv[off + n] = v0[n] * gx + v1[n] * gy;
-      }
-    } else {
-      tensor3_apply_x(b.d.data(), n1, n1, n1, u + off, ur);
-      tensor3_apply_y(b.d.data(), n1, n1, n1, u + off, us);
-      tensor3_apply_z(b.d.data(), n1, n1, n1, u + off, ut);
-      const double* v0 = vel[0] + off;
-      const double* v1 = vel[1] + off;
-      const double* v2 = vel[2] + off;
-      const double* rx = m.metric(0, 0) + off;
-      const double* sx = m.metric(1, 0) + off;
-      const double* tx = m.metric(2, 0) + off;
-      const double* ry = m.metric(0, 1) + off;
-      const double* sy = m.metric(1, 1) + off;
-      const double* ty = m.metric(2, 1) + off;
-      const double* rz = m.metric(0, 2) + off;
-      const double* sz = m.metric(1, 2) + off;
-      const double* tz = m.metric(2, 2) + off;
-      for (int n = 0; n < npe; ++n) {
-        const double gx = rx[n] * ur[n] + sx[n] * us[n] + tx[n] * ut[n];
-        const double gy = ry[n] * ur[n] + sy[n] * us[n] + ty[n] * ut[n];
-        const double gz = rz[n] * ur[n] + sz[n] * us[n] + tz[n] * ut[n];
-        conv[off + n] = v0[n] * gx + v1[n] * gy + v2[n] * gz;
-      }
-    }
-  }
+  convect_local_multi(m, vel, &u, &conv, 1, work);
 }
 
 void apply_filter_local(const Mesh& m, const std::vector<double>& f,
                         double* u, TensorWork& work) {
-  const int n1 = m.n1d();
-  const int npe = m.npe;
-  TSEM_REQUIRE(static_cast<int>(f.size()) == n1 * n1);
-  // One fetch serves both branches: the 3D path needs
-  // nz*ny*mx + nz*my*mx = 2*npe of scratch plus npe for the result, the
-  // 2D path npe + npe.  Fetched inside the loop because each thread needs
-  // its own slab; work.get keeps the pointer stable per thread, so the
-  // per-element cost is an index load and a size check.
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int e = 0; e < m.nelem; ++e) {
-    double* buf = work.get(3 * static_cast<std::size_t>(npe));
-    const std::size_t off = static_cast<std::size_t>(e) * npe;
-    if (m.dim == 2) {
-      tensor2_apply(f.data(), n1, n1, f.data(), n1, n1, u + off, buf + npe,
-                    buf);
-      for (int n = 0; n < npe; ++n) u[off + n] = buf[npe + n];
-    } else {
-      tensor3_apply(f.data(), n1, n1, f.data(), n1, n1, f.data(), n1, n1,
-                    u + off, buf + 2 * static_cast<std::size_t>(npe), buf);
-      for (int n = 0; n < npe; ++n)
-        u[off + n] = buf[2 * static_cast<std::size_t>(npe) + n];
-    }
-  }
+  apply_filter_local_multi(m, f, &u, 1, work);
 }
 
 void apply_stiffness_local_multi(const Mesh& m, const double* const* u,
                                  double* const* w, int nf, TensorWork& work) {
-  const auto& b = Basis1D::get(m.order);
-  const std::size_t nl = m.nlocal();
-  const int npe = m.npe;
-  const int dslabs = m.dim;  // derivative buffers per field
-  for (int f0 = 0; f0 < nf; f0 += kMaxFusedFields) {
-    const int nfc = std::min(nf - f0, kMaxFusedFields);
-    const double* const* uc = u + f0;
-    double* const* wc = w + f0;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (int e = 0; e < m.nelem; ++e) {
-      double* slab = work.get(
-          (static_cast<std::size_t>(dslabs) * nfc + 1) * npe);
-      const std::size_t off = static_cast<std::size_t>(e) * npe;
-      if (m.dim == 2)
-        stiffness_elem_2d_multi(b, m.g.data(), nl, off, npe, uc, wc, nfc,
-                                slab);
-      else
-        stiffness_elem_3d_multi(b, m.g.data(), nl, off, npe, uc, wc, nfc,
-                                slab);
-    }
-  }
+  helmholtz_multi(m, false, 0.0, 0.0, u, w, nf, work);
 }
 
 void apply_helmholtz_local_multi(const Mesh& m, double h1, double h2,
                                  const double* const* u, double* const* w,
                                  int nf, TensorWork& work) {
-  apply_stiffness_local_multi(m, u, w, nf, work);
-  const std::size_t nl = m.nlocal();
-  // One pass over the mass matrix serves every field.
-  for (std::size_t i = 0; i < nl; ++i) {
-    const double bmv = h2 * m.bm[i];
-    for (int f = 0; f < nf; ++f) w[f][i] = h1 * w[f][i] + bmv * u[f][i];
-  }
+  helmholtz_multi(m, true, h1, h2, u, w, nf, work);
 }
 
 void gradient_local_multi(const Mesh& m, const double* const* u,
                           double* const* grad, int nf, TensorWork& work) {
   const auto& b = Basis1D::get(m.order);
-  const int n1 = b.npts();
-  const int npe = m.npe;
-  for (int f0 = 0; f0 < nf; f0 += kMaxFusedFields) {
-    const int nfc = std::min(nf - f0, kMaxFusedFields);
-    const double* const* uc = u + f0;
-    double* const* gc = grad + static_cast<std::size_t>(f0) * m.dim;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (int e = 0; e < m.nelem; ++e) {
-      double* slab =
-          work.get(3 * static_cast<std::size_t>(nfc) * npe);
-      double* ur = slab;
-      double* us = slab + static_cast<std::size_t>(nfc) * npe;
-      double* ut = us + static_cast<std::size_t>(nfc) * npe;
-      const std::size_t off = static_cast<std::size_t>(e) * npe;
-      if (m.dim == 2) {
-        for (int f = 0; f < nfc; ++f) {
-          tensor2_apply_x(b.d.data(), n1, n1, uc[f] + off, ur + f * npe);
-          tensor2_apply_y(b.d.data(), n1, n1, uc[f] + off, us + f * npe);
-        }
-        const double* rx = m.metric(0, 0) + off;
-        const double* ry = m.metric(0, 1) + off;
-        const double* sx = m.metric(1, 0) + off;
-        const double* sy = m.metric(1, 1) + off;
-        for (int n = 0; n < npe; ++n) {
-          const double vrx = rx[n], vry = ry[n], vsx = sx[n], vsy = sy[n];
-          for (int f = 0; f < nfc; ++f) {
-            const double urn = ur[f * npe + n], usn = us[f * npe + n];
-            gc[f * 2 + 0][off + n] = vrx * urn + vsx * usn;
-            gc[f * 2 + 1][off + n] = vry * urn + vsy * usn;
-          }
-        }
-      } else {
-        for (int f = 0; f < nfc; ++f) {
-          tensor3_apply_x(b.d.data(), n1, n1, n1, uc[f] + off, ur + f * npe);
-          tensor3_apply_y(b.d.data(), n1, n1, n1, uc[f] + off, us + f * npe);
-          tensor3_apply_z(b.d.data(), n1, n1, n1, uc[f] + off, ut + f * npe);
-        }
-        for (int c = 0; c < 3; ++c) {
-          const double* rc = m.metric(0, c) + off;
-          const double* sc = m.metric(1, c) + off;
-          const double* tc = m.metric(2, c) + off;
-          for (int n = 0; n < npe; ++n) {
-            const double vr = rc[n], vs = sc[n], vt = tc[n];
-            for (int f = 0; f < nfc; ++f)
-              gc[f * 3 + c][off + n] = vr * ur[f * npe + n] +
-                                       vs * us[f * npe + n] +
-                                       vt * ut[f * npe + n];
-          }
-        }
-      }
-    }
-  }
+  for_each_element(m, nf, work, [&](int f, std::size_t off, double* s) {
+    gradient_elem(m, b, off, u[f], grad + static_cast<std::size_t>(f) * m.dim,
+                  s);
+  });
 }
 
 void convect_local_multi(const Mesh& m, const double* const* vel,
                          const double* const* u, double* const* conv, int nf,
                          TensorWork& work) {
   const auto& b = Basis1D::get(m.order);
-  const int n1 = b.npts();
-  const int npe = m.npe;
-  for (int f0 = 0; f0 < nf; f0 += kMaxFusedFields) {
-    const int nfc = std::min(nf - f0, kMaxFusedFields);
-    const double* const* uc = u + f0;
-    double* const* cc = conv + f0;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (int e = 0; e < m.nelem; ++e) {
-      double* slab =
-          work.get(3 * static_cast<std::size_t>(nfc) * npe);
-      double* ur = slab;
-      double* us = slab + static_cast<std::size_t>(nfc) * npe;
-      double* ut = us + static_cast<std::size_t>(nfc) * npe;
-      const std::size_t off = static_cast<std::size_t>(e) * npe;
-      if (m.dim == 2) {
-        for (int f = 0; f < nfc; ++f) {
-          tensor2_apply_x(b.d.data(), n1, n1, uc[f] + off, ur + f * npe);
-          tensor2_apply_y(b.d.data(), n1, n1, uc[f] + off, us + f * npe);
-        }
-        const double* rx = m.metric(0, 0) + off;
-        const double* ry = m.metric(0, 1) + off;
-        const double* sx = m.metric(1, 0) + off;
-        const double* sy = m.metric(1, 1) + off;
-        const double* v0 = vel[0] + off;
-        const double* v1 = vel[1] + off;
-        for (int n = 0; n < npe; ++n) {
-          const double vrx = rx[n], vry = ry[n], vsx = sx[n], vsy = sy[n];
-          const double w0 = v0[n], w1 = v1[n];
-          for (int f = 0; f < nfc; ++f) {
-            const double urn = ur[f * npe + n], usn = us[f * npe + n];
-            const double gx = vrx * urn + vsx * usn;
-            const double gy = vry * urn + vsy * usn;
-            cc[f][off + n] = w0 * gx + w1 * gy;
-          }
-        }
-      } else {
-        for (int f = 0; f < nfc; ++f) {
-          tensor3_apply_x(b.d.data(), n1, n1, n1, uc[f] + off, ur + f * npe);
-          tensor3_apply_y(b.d.data(), n1, n1, n1, uc[f] + off, us + f * npe);
-          tensor3_apply_z(b.d.data(), n1, n1, n1, uc[f] + off, ut + f * npe);
-        }
-        const double* v0 = vel[0] + off;
-        const double* v1 = vel[1] + off;
-        const double* v2 = vel[2] + off;
-        const double* rx = m.metric(0, 0) + off;
-        const double* sx = m.metric(1, 0) + off;
-        const double* tx = m.metric(2, 0) + off;
-        const double* ry = m.metric(0, 1) + off;
-        const double* sy = m.metric(1, 1) + off;
-        const double* ty = m.metric(2, 1) + off;
-        const double* rz = m.metric(0, 2) + off;
-        const double* sz = m.metric(1, 2) + off;
-        const double* tz = m.metric(2, 2) + off;
-        for (int n = 0; n < npe; ++n) {
-          const double w0 = v0[n], w1 = v1[n], w2 = v2[n];
-          for (int f = 0; f < nfc; ++f) {
-            const double urn = ur[f * npe + n];
-            const double usn = us[f * npe + n];
-            const double utn = ut[f * npe + n];
-            const double gx = rx[n] * urn + sx[n] * usn + tx[n] * utn;
-            const double gy = ry[n] * urn + sy[n] * usn + ty[n] * utn;
-            const double gz = rz[n] * urn + sz[n] * usn + tz[n] * utn;
-            cc[f][off + n] = w0 * gx + w1 * gy + w2 * gz;
-          }
-        }
-      }
-    }
-  }
+  for_each_element(m, nf, work, [&](int f, std::size_t off, double* s) {
+    convect_elem(m, b, off, vel, u[f], conv[f], s);
+  });
 }
 
 void apply_filter_local_multi(const Mesh& m, const std::vector<double>& f,
                               double* const* u, int nf, TensorWork& work) {
-  const int n1 = m.n1d();
-  const int npe = m.npe;
-  TSEM_REQUIRE(static_cast<int>(f.size()) == n1 * n1);
-  // The filter matrix stays register/cache hot across the fields of one
-  // element; the scratch slab is reused serially per field, so it does not
-  // scale with nf.
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int e = 0; e < m.nelem; ++e) {
-    double* buf = work.get(3 * static_cast<std::size_t>(npe));
-    const std::size_t off = static_cast<std::size_t>(e) * npe;
-    for (int ff = 0; ff < nf; ++ff) {
-      if (m.dim == 2) {
-        tensor2_apply(f.data(), n1, n1, f.data(), n1, n1, u[ff] + off,
-                      buf + npe, buf);
-        for (int n = 0; n < npe; ++n) u[ff][off + n] = buf[npe + n];
-      } else {
-        tensor3_apply(f.data(), n1, n1, f.data(), n1, n1, f.data(), n1, n1,
-                      u[ff] + off, buf + 2 * static_cast<std::size_t>(npe),
-                      buf);
-        for (int n = 0; n < npe; ++n)
-          u[ff][off + n] = buf[2 * static_cast<std::size_t>(npe) + n];
-      }
-    }
-  }
+  TSEM_REQUIRE(static_cast<int>(f.size()) == m.n1d() * m.n1d());
+  for_each_element(m, nf, work, [&](int ff, std::size_t off, double* s) {
+    filter_elem(m, f, off, u[ff], s);
+  });
 }
 
 double stiffness_flops(const Mesh& m) {

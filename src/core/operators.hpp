@@ -37,10 +37,10 @@ void apply_helmholtz_local(const Mesh& m, double h1, double h2,
 //
 // The loops are SERIAL by design: these are the fork-safe entry points
 // the mp rank processes drive their interior/boundary element sweeps
-// through (mp/runtime.hpp's OpenMP caveat), and each element's
-// arithmetic is expression-identical to the full kernels above — so a
-// sweep over any disjoint element partition (e.g. interior then
-// boundary) reproduces the full loop's result bitwise.
+// through (mp/runtime.hpp's OpenMP caveat).  They run the same element
+// kernel as the full loops, so a sweep over any disjoint element
+// partition (e.g. interior then boundary) reproduces the full loop's
+// result bitwise.
 
 /// w blocks = A_L u blocks for the listed elements.
 void apply_stiffness_local_elems(const Mesh& m, const std::int32_t* elems,
@@ -75,20 +75,14 @@ void apply_filter_local(const Mesh& m, const std::vector<double>& f,
                         double* u, TensorWork& work);
 
 // ---------------------------------------------------------------------------
-// Multi-field fused variants.
+// Multi-field entries.
 //
-// The velocity step applies the same operator to several fields (three
-// velocity components, plus scalars); the single-field kernels re-stream
-// the derivative matrices, metric terms and G factors once per field.
-// The *_multi variants below sweep all nf fields inside ONE element loop:
-// the D matrices stay hot across fields and every metric/G factor is
-// loaded once per node, not once per node per field.  Fields are
-// processed in groups of kMaxFusedFields (arena sizing bound); each
-// field's arithmetic is expression-for-expression identical to the
-// single-field kernel, so per-field results are bitwise equal to nf
-// separate calls.
-
-inline constexpr int kMaxFusedFields = 8;
+// The velocity step applies the same operator to several fields (the
+// velocity components, plus scalars).  Each *_multi entry below is ONE
+// OpenMP element loop that runs the operator's element kernel for every
+// field of each element, so nf fields cost one parallel region instead of
+// nf.  The single-field entries above are these with nf = 1, so per-field
+// results are bitwise equal to nf separate calls.
 
 /// w[f] = A_L u[f] for f = 0..nf-1.
 void apply_stiffness_local_multi(const Mesh& m, const double* const* u,
@@ -100,7 +94,7 @@ void apply_helmholtz_local_multi(const Mesh& m, double h1, double h2,
                                  int nf, TensorWork& work);
 
 /// grad[f * dim + c] = d u[f] / dx_c  (nf scalar fields, dim components
-/// each; the metric terms stream once across all fields).
+/// each).
 void gradient_local_multi(const Mesh& m, const double* const* u,
                           double* const* grad, int nf, TensorWork& work);
 
@@ -109,8 +103,7 @@ void convect_local_multi(const Mesh& m, const double* const* vel,
                          const double* const* u, double* const* conv, int nf,
                          TensorWork& work);
 
-/// u[f] <- (F (x) F (x) F) u[f] for all fields (filter matrix hot across
-/// fields).
+/// u[f] <- (F (x) F (x) F) u[f] for all fields.
 void apply_filter_local_multi(const Mesh& m, const std::vector<double>& f,
                               double* const* u, int nf, TensorWork& work);
 

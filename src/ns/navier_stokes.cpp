@@ -107,9 +107,9 @@ struct NavierStokes::StepScratch {
   std::vector<std::vector<double>*> fptr;
   std::vector<const double*> fmask;
   std::vector<double> weak, g, dp;
-  // Per-component weak rhs for the fused velocity Helmholtz solve.
+  // Per-component weak rhs for the lockstep velocity Helmholtz solve.
   std::array<std::vector<double>, 3> weak3;
-  // Pointer tables for the fused multi-field operator calls.
+  // Pointer tables for the multi-field operator calls.
   std::vector<const double*> min;
   std::vector<double*> mout;
   // oifs_advect: interpolated advecting velocity and RK4 stages.
@@ -325,11 +325,10 @@ void NavierStokes::oifs_advect(
 
   const double* vel[3] = {vbuf[0].data(), vbuf[1].data(),
                           dim_ == 3 ? vbuf[2].data() : nullptr};
-  // One fused rate evaluation for all advected fields: the collocation
-  // path streams the element data once across the fields
-  // (convect_local_multi); the dealiased path keeps per-field applies
-  // (its fine-grid interpolants are per-field anyway).  Per-field values
-  // are bitwise identical to the per-field rate() this replaces.
+  // One rate evaluation for all advected fields: the collocation path is
+  // one element loop over every field (convect_local_multi); the
+  // dealiased path keeps per-field applies (its fine-grid interpolants are
+  // per-field anyway).
   std::vector<const double*>& win = scr_->min;
   std::vector<double*>& kout = scr_->mout;
   auto rate_all = [&](std::vector<std::vector<double>>& k) {
@@ -392,8 +391,8 @@ void NavierStokes::apply_velocity_filter() {
   if (fmat_.empty()) return;
   const Mesh& m = space_->mesh();
   ensure_scratch();
-  // One fused sweep filters every component and scalar (the filter matrix
-  // stays hot across fields); the dssum/mask blend stays per field.
+  // One element loop filters every component and scalar; the dssum/mask
+  // blend stays per field.
   std::vector<double*>& fu = scr_->mout;
   for (int c = 0; c < dim_; ++c) fu[c] = u_[c].data();
   for (std::size_t sc = 0; sc < scalars_.size(); ++sc)
@@ -585,8 +584,8 @@ bool NavierStokes::attempt_step(double dt, int order,
       gam[2] = 1.0;
     }
     // Convection of the newest level into history slot 0 (rotated below).
-    // One fused sweep advects every component and scalar with the shared
-    // velocity (metrics and D matrices stream once per element).
+    // One element loop advects every component and scalar with the shared
+    // velocity.
     const double* vel[3] = {un1[0].data(), un1[1].data(),
                             dim_ == 3 ? un1[2].data() : nullptr};
     for (int c = 0; c < dim_; ++c) {
@@ -656,8 +655,9 @@ bool NavierStokes::attempt_step(double dt, int order,
     psys_->gradient_t(p_.data(), gpp);
     flops_total_ += e_apply_flops(*psys_) / 2.0;
     // All components share hop_, so the three solves run in lockstep with
-    // fused operator applies (helmholtz_solve_multi); per-component
-    // iterates and statuses are bitwise identical to sequential solves.
+    // one operator apply per iteration (helmholtz_solve_multi); per-
+    // component iterates and statuses are bitwise identical to sequential
+    // solves.
     const std::vector<double>* bcv[3];
     const std::vector<double>* rw[3];
     std::vector<double>* uo[3];
@@ -700,8 +700,12 @@ bool NavierStokes::attempt_step(double dt, int order,
     std::vector<double>& weak = scr.weak;
     for (std::size_t i = 0; i < nl_; ++i)
       weak[i] = m.bm[i] * rhs[dim_ + sc][i];
-    auto res = helmholtz_solve(*sd.hop, sd.thbc, weak, sd.th, hopt, work_,
-                               &scr.helm);
+    const std::vector<double>* bcv = &sd.thbc;
+    const std::vector<double>* rw = &weak;
+    std::vector<double>* uo = &sd.th;
+    CgResult res;
+    helmholtz_solve_multi(*sd.hop, &bcv, &rw, &uo, 1, hopt, work_, &scr.helm,
+                          &res);
     flops_total_ += res.iterations *
                     (stiffness_flops(m) + 14.0 * static_cast<double>(nl_));
     if (solve_failed(res.status)) {

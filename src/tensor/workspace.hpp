@@ -19,8 +19,8 @@
 //   * A thread's slab is a single region reused by every get() from that
 //     thread: a nested kernel that calls get() on the SAME Workspace
 //     clobbers its caller's scratch.  Operators that call other operators
-//     (helmholtz_solve -> apply_helmholtz_local) must keep their own
-//     buffers outside the arena they pass down.
+//     (helmholtz_solve_multi -> apply_helmholtz_local_multi) must keep
+//     their own buffers outside the arena they pass down.
 //   * get() must not be called from nested parallel regions (thread ids
 //     would collide between teams); terasem does not nest.
 //   * Slabs grow monotonically and are freed only by the destructor, so

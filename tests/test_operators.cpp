@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/helmholtz.hpp"
@@ -282,8 +283,9 @@ TEST(PoissonSolve, DeformedMesh3D) {
 }
 
 // -------------------------------------------------------------------------
-// Multi-field fused operators: per-field results must be BITWISE equal to
-// the single-field kernels (same per-field expressions, shared streaming).
+// Multi-field operators: per-field results must be BITWISE equal to the
+// single-field entries and, for the Helmholtz kernel, to the serial
+// element-list (_elems) driver and the two-pass h1 * A u + h2 * B u.
 // -------------------------------------------------------------------------
 
 std::vector<double> wave_field(const tsem::Mesh& m, int which) {
@@ -300,7 +302,6 @@ std::vector<double> wave_field(const tsem::Mesh& m, int which) {
 void check_multi_matches_single(const Space& s) {
   const auto& m = s.mesh();
   const std::size_t nl = s.nlocal();
-  // 9 fields exercises the kMaxFusedFields=8 chunking path.
   const int nf = 9;
   std::vector<std::vector<double>> u(nf);
   for (int f = 0; f < nf; ++f) u[f] = wave_field(m, f);
@@ -322,14 +323,40 @@ void check_multi_matches_single(const Space& s) {
     for (std::size_t i = 0; i < nl; ++i)
       ASSERT_EQ(wm[f][i], ws[f][i]) << "stiffness field " << f;
 
-  // Helmholtz.
-  for (int f = 0; f < nf; ++f)
-    tsem::apply_helmholtz_local(m, 0.7, 1.3, u[f].data(), ws[f].data(), w1);
-  tsem::apply_helmholtz_local_multi(m, 0.7, 1.3, up.data(), wp.data(), nf,
-                                    w2);
+  // Element-list driver over all elements, odd elements first: any
+  // disjoint split of the sweep must reproduce the full loop.
+  std::vector<std::int32_t> elems;
+  for (int pass = 1; pass >= 0; --pass)
+    for (int e = 0; e < m.nelem; ++e)
+      if (e % 2 == pass) elems.push_back(e);
+  std::vector<double> we(nl);
+  for (int f = 0; f < nf; ++f) {
+    tsem::apply_stiffness_local_elems(m, elems.data(), nullptr, elems.size(),
+                                      u[f].data(), we.data(), w1);
+    for (std::size_t i = 0; i < nl; ++i)
+      ASSERT_EQ(we[i], ws[f][i]) << "stiffness _elems field " << f;
+  }
+
+  // Helmholtz: the mass term is added inside the element kernel and must
+  // match the two-pass form on top of the stiffness bitwise.
+  const double h1 = 0.7, h2 = 1.3;
+  std::vector<std::vector<double>> wref(nf, std::vector<double>(nl));
   for (int f = 0; f < nf; ++f)
     for (std::size_t i = 0; i < nl; ++i)
-      ASSERT_EQ(wm[f][i], ws[f][i]) << "helmholtz field " << f;
+      wref[f][i] = h1 * ws[f][i] + h2 * m.bm[i] * u[f][i];
+  for (int f = 0; f < nf; ++f)
+    tsem::apply_helmholtz_local(m, h1, h2, u[f].data(), ws[f].data(), w1);
+  tsem::apply_helmholtz_local_multi(m, h1, h2, up.data(), wp.data(), nf, w2);
+  for (int f = 0; f < nf; ++f) {
+    tsem::apply_helmholtz_local_elems(m, h1, h2, elems.data(), nullptr,
+                                      elems.size(), u[f].data(), we.data(),
+                                      w1);
+    for (std::size_t i = 0; i < nl; ++i) {
+      ASSERT_EQ(ws[f][i], wref[f][i]) << "helmholtz field " << f;
+      ASSERT_EQ(wm[f][i], wref[f][i]) << "helmholtz _multi field " << f;
+      ASSERT_EQ(we[i], wref[f][i]) << "helmholtz _elems field " << f;
+    }
+  }
 
   // Gradient.
   const int nc = 3;  // test a pointer-table stride of dim for 3 fields
@@ -379,54 +406,107 @@ TEST(MultiField, FusedOperatorsMatchSingleFieldBitwise3D) {
   check_multi_matches_single(Space(build_mesh(spec, 6)));
 }
 
-// The lockstep multi-rhs solver must reproduce sequential helmholtz_solve
+// Reference for the lockstep solver: one direct pcg() with the same
+// Dirichlet lift, HelmholtzOp::apply and the operator's Jacobi diagonal.
+tsem::CgResult reference_solve(const tsem::HelmholtzOp& A,
+                               const std::vector<double>& bc,
+                               const std::vector<double>& rhs,
+                               std::vector<double>& u,
+                               const tsem::HelmholtzSolveOptions& opt) {
+  const Space& s = A.space();
+  const auto& mask = A.mask();
+  const std::size_t nl = s.nlocal();
+  std::vector<double> ub(nl), b = rhs, t(nl), x(nl);
+  for (std::size_t i = 0; i < nl; ++i) ub[i] = (1.0 - mask[i]) * bc[i];
+  s.gs().op(b.data());
+  tsem::TensorWork work;
+  tsem::apply_helmholtz_local(s.mesh(), A.h1(), A.h2(), ub.data(), t.data(),
+                              work);
+  s.gs().op(t.data());
+  for (std::size_t i = 0; i < nl; ++i) {
+    b[i] = (b[i] - t[i]) * mask[i];
+    x[i] = opt.zero_guess ? 0.0 : (u[i] - ub[i]) * mask[i];
+  }
+  const auto& dg = A.diagonal();
+  tsem::CgOptions copt;
+  copt.tol = opt.tol;
+  copt.relative = true;
+  copt.max_iter = opt.max_iter;
+  auto res = tsem::pcg(
+      nl, [&](const double* p, double* ap) { A.apply(p, ap); },
+      [&](const double* r, double* z) {
+        for (std::size_t i = 0; i < nl; ++i) z[i] = r[i] / dg[i];
+      },
+      [&](const double* a, const double* c) { return s.glsum_dot(a, c); },
+      b.data(), x.data(), copt);
+  for (std::size_t i = 0; i < nl; ++i) u[i] = x[i] + ub[i];
+  return res;
+}
+
+// The lockstep multi-rhs solver must reproduce one pcg() per field
 // exactly: same iterates (bitwise), same iteration counts and statuses.
-TEST(MultiField, LockstepHelmholtzSolveMatchesSequential) {
+void check_lockstep_matches_pcg(int nf, bool zero_guess) {
   auto s = make_box_space_2d(3, 6);
   const auto& m = s.mesh();
   const std::size_t nl = s.nlocal();
   auto mask = s.make_mask(0xF);
   tsem::HelmholtzOp A(s, 0.01, 25.0, mask);
 
-  const int nf = 3;
   std::vector<std::vector<double>> bc(nf, std::vector<double>(nl, 0.0));
   std::vector<std::vector<double>> rhs(nf, std::vector<double>(nl));
+  std::vector<std::vector<double>> guess(nf, std::vector<double>(nl, 0.0));
   for (int f = 0; f < nf; ++f) {
     auto g = wave_field(m, f);
     for (std::size_t i = 0; i < nl; ++i) rhs[f][i] = m.bm[i] * g[i];
     // Inhomogeneous Dirichlet data for one field to cover the lift path.
-    if (f == 1)
+    if (f == nf / 2)
       for (std::size_t i = 0; i < nl; ++i) bc[f][i] = 0.25 * m.x[i];
+    if (!zero_guess) guess[f] = wave_field(m, f + 3);
   }
 
   tsem::HelmholtzSolveOptions opt;
   opt.tol = 1e-10;
-  opt.zero_guess = true;
-  tsem::TensorWork work;
+  opt.zero_guess = zero_guess;
 
-  std::vector<std::vector<double>> useq(nf, std::vector<double>(nl, 0.0));
-  std::vector<tsem::CgResult> rseq(nf);
+  std::vector<std::vector<double>> uref = guess;
+  std::vector<tsem::CgResult> rref(nf);
   for (int f = 0; f < nf; ++f)
-    rseq[f] = tsem::helmholtz_solve(A, bc[f], rhs[f], useq[f], opt, work);
+    rref[f] = reference_solve(A, bc[f], rhs[f], uref[f], opt);
 
-  std::vector<std::vector<double>> umul(nf, std::vector<double>(nl, 0.0));
-  const std::vector<double>* bcp[3] = {&bc[0], &bc[1], &bc[2]};
-  const std::vector<double>* rp[3] = {&rhs[0], &rhs[1], &rhs[2]};
-  std::vector<double>* up[3] = {&umul[0], &umul[1], &umul[2]};
-  tsem::CgResult rmul[3];
-  const int nfail =
-      tsem::helmholtz_solve_multi(A, bcp, rp, up, nf, opt, work, nullptr,
-                                  rmul);
+  std::vector<std::vector<double>> umul = guess;
+  std::vector<const std::vector<double>*> bcp(nf), rp(nf);
+  std::vector<std::vector<double>*> up(nf);
+  for (int f = 0; f < nf; ++f) {
+    bcp[f] = &bc[f];
+    rp[f] = &rhs[f];
+    up[f] = &umul[f];
+  }
+  std::vector<tsem::CgResult> rmul(nf);
+  tsem::TensorWork work;
+  const int nfail = tsem::helmholtz_solve_multi(
+      A, bcp.data(), rp.data(), up.data(), nf, opt, work, nullptr,
+      rmul.data());
   EXPECT_EQ(nfail, nf);
   for (int f = 0; f < nf; ++f) {
-    EXPECT_EQ(rmul[f].iterations, rseq[f].iterations) << "field " << f;
-    EXPECT_EQ(rmul[f].status, rseq[f].status) << "field " << f;
-    EXPECT_EQ(rmul[f].converged, rseq[f].converged);
-    EXPECT_EQ(rmul[f].initial_residual, rseq[f].initial_residual);
-    EXPECT_EQ(rmul[f].final_residual, rseq[f].final_residual);
+    EXPECT_EQ(rref[f].status, tsem::SolveStatus::Converged) << "field " << f;
+    EXPECT_EQ(rmul[f].iterations, rref[f].iterations) << "field " << f;
+    EXPECT_EQ(rmul[f].status, rref[f].status) << "field " << f;
+    EXPECT_EQ(rmul[f].converged, rref[f].converged);
+    EXPECT_EQ(rmul[f].initial_residual, rref[f].initial_residual);
+    EXPECT_EQ(rmul[f].final_residual, rref[f].final_residual);
     for (std::size_t i = 0; i < nl; ++i)
-      ASSERT_EQ(umul[f][i], useq[f][i]) << "field " << f << " entry " << i;
+      ASSERT_EQ(umul[f][i], uref[f][i]) << "field " << f << " entry " << i;
   }
+}
+
+TEST(MultiField, LockstepHelmholtzSolveMatchesPcgOneField) {
+  check_lockstep_matches_pcg(1, true);
+  check_lockstep_matches_pcg(1, false);
+}
+
+TEST(MultiField, LockstepHelmholtzSolveMatchesPcgThreeFields) {
+  check_lockstep_matches_pcg(3, true);
+  check_lockstep_matches_pcg(3, false);
 }
 
 }  // namespace
