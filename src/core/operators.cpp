@@ -199,7 +199,7 @@ void filter_elem(const Mesh& m, const std::vector<double>& f, std::size_t off,
   }
 }
 
-// The one element loop of every *_local_multi entry: an OpenMP static
+// The one element loop of every full-mesh entry: an OpenMP static
 // schedule over elements, each thread running kern(f, off, scratch) for
 // every field of its elements.  Element e writes only its own
 // [off, off + npe) block of each output and reads per-thread arena
@@ -250,7 +250,7 @@ void helmholtz_elems(const Mesh& m, bool mass, double h1, double h2,
 
 void apply_stiffness_local(const Mesh& m, const double* u, double* w,
                            TensorWork& work) {
-  apply_stiffness_local_multi(m, &u, &w, 1, work);
+  helmholtz_multi(m, false, 0.0, 0.0, &u, &w, 1, work);
 }
 
 void apply_helmholtz_local(const Mesh& m, double h1, double h2,
@@ -339,7 +339,10 @@ std::vector<double> stiffness_diagonal_local(const Mesh& m) {
 
 void gradient_local(const Mesh& m, const double* u, double* const* grad,
                     TensorWork& work) {
-  gradient_local_multi(m, &u, grad, 1, work);
+  const auto& b = Basis1D::get(m.order);
+  for_each_element(m, 1, work, [&](int, std::size_t off, double* s) {
+    gradient_elem(m, b, off, u, grad, s);
+  });
 }
 
 void convect_local(const Mesh& m, const double* const* vel, const double* u,
@@ -352,24 +355,10 @@ void apply_filter_local(const Mesh& m, const std::vector<double>& f,
   apply_filter_local_multi(m, f, &u, 1, work);
 }
 
-void apply_stiffness_local_multi(const Mesh& m, const double* const* u,
-                                 double* const* w, int nf, TensorWork& work) {
-  helmholtz_multi(m, false, 0.0, 0.0, u, w, nf, work);
-}
-
 void apply_helmholtz_local_multi(const Mesh& m, double h1, double h2,
                                  const double* const* u, double* const* w,
                                  int nf, TensorWork& work) {
   helmholtz_multi(m, true, h1, h2, u, w, nf, work);
-}
-
-void gradient_local_multi(const Mesh& m, const double* const* u,
-                          double* const* grad, int nf, TensorWork& work) {
-  const auto& b = Basis1D::get(m.order);
-  for_each_element(m, nf, work, [&](int f, std::size_t off, double* s) {
-    gradient_elem(m, b, off, u[f], grad + static_cast<std::size_t>(f) * m.dim,
-                  s);
-  });
 }
 
 void convect_local_multi(const Mesh& m, const double* const* vel,

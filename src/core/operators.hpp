@@ -81,22 +81,13 @@ void apply_filter_local(const Mesh& m, const std::vector<double>& f,
 // velocity components, plus scalars).  Each *_multi entry below is ONE
 // OpenMP element loop that runs the operator's element kernel for every
 // field of each element, so nf fields cost one parallel region instead of
-// nf.  The single-field entries above are these with nf = 1, so per-field
-// results are bitwise equal to nf separate calls.
-
-/// w[f] = A_L u[f] for f = 0..nf-1.
-void apply_stiffness_local_multi(const Mesh& m, const double* const* u,
-                                 double* const* w, int nf, TensorWork& work);
+// nf.  The single-field entries above run the same element loop with
+// nf = 1, so per-field results are bitwise equal to nf separate calls.
 
 /// w[f] = h1 * A_L u[f] + h2 * B_L u[f].
 void apply_helmholtz_local_multi(const Mesh& m, double h1, double h2,
                                  const double* const* u, double* const* w,
                                  int nf, TensorWork& work);
-
-/// grad[f * dim + c] = d u[f] / dx_c  (nf scalar fields, dim components
-/// each).
-void gradient_local_multi(const Mesh& m, const double* const* u,
-                          double* const* grad, int nf, TensorWork& work);
 
 /// conv[f] = (vel . grad) u[f] with ONE shared advecting velocity.
 void convect_local_multi(const Mesh& m, const double* const* vel,

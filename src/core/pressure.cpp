@@ -7,14 +7,31 @@
 #include "obs/metrics.hpp"
 #include "poly/basis1d.hpp"
 #include "tensor/mxm.hpp"
+#include "tensor/tensor_apply.hpp"
 
 namespace tsem {
+namespace {
+
+// The orders the element kernels are compiled for.
+constexpr int kMinOrder = 3;
+constexpr int kMaxOrder = 16;
+
+// One outlined body per stage shape, as in kernels_fixed.cpp.  Inlining
+// every stage into its kernel multiplies the unrolled code without making
+// the 3D stages faster, and makes this file take minutes to compile under
+// the sanitizers.
+template <int M, int K, int N>
+[[gnu::noinline]] void stage(const double* a, const double* b, double* c) {
+  mxm_fixed<M, K, N>(a, b, c);
+}
+
+}  // namespace
 
 PressureSystem::PressureSystem(const Space& vspace, std::vector<double> vmask)
-    : vspace_(&vspace), vmask_(std::move(vmask)) {
+    : vspace_(&vspace) {
   const Mesh& m = vspace.mesh();
-  TSEM_REQUIRE(m.order >= 3);
-  TSEM_REQUIRE(vmask_.size() == m.nlocal());
+  TSEM_REQUIRE(m.order >= kMinOrder && m.order <= kMaxOrder);
+  TSEM_REQUIRE(vmask.size() == m.nlocal());
   dim_ = m.dim;
   ng1_ = m.order - 1;
   npe_ = 1;
@@ -32,6 +49,16 @@ PressureSystem::PressureSystem(const Space& vspace, std::vector<double> vmask)
       igt_[j * ng1_ + i] = ig_[i * n1 + j];
       dgt_[j * ng1_ + i] = dg_[i * n1 + j];
     }
+  idgt_.resize(2 * ig_.size());
+  for (int j = 0; j < n1; ++j)
+    for (int i = 0; i < ng1_; ++i) {
+      idgt_[j * 2 * ng1_ + i] = igt_[j * ng1_ + i];
+      idgt_[j * 2 * ng1_ + ng1_ + i] = dgt_[j * ng1_ + i];
+    }
+  bind_kernels(std::make_integer_sequence<int, kMaxOrder - kMinOrder + 1>{});
+  bmask_.resize(m.nlocal());
+  for (std::size_t i = 0; i < bmask_.size(); ++i)
+    bmask_[i] = vspace.bm_inv()[i] * vmask[i];
 
   const auto& gw = gauss_weights(ng1_);
   const std::size_t nploc = nloc();
@@ -137,106 +164,158 @@ PressureSystem::PressureSystem(const Space& vspace, std::vector<double> vmask)
   }
 }
 
-// The three operators below are OpenMP element loops in the style of
-// apply_stiffness_local: element e zeroes and then accumulates into only
-// its own output block, in the same 0.0 += order as a serial sweep, with
-// scratch from the calling thread's work_ slab.  The static schedule is
-// therefore bitwise independent of the thread count.
+// The element kernels below are compiled for each (dimension, GLL point
+// count N1) pair, so every tensor stage is an mxm_fixed<M,K,N> (through
+// stage<M,K,N>) with compile-time extents (G = N1 - 2 Gauss points per
+// direction) and every scratch array is a fixed-size stack array — the
+// paper's answer (§6, Table 3): one fixed kernel per shape, never a
+// runtime-shaped one.
+//
+// The three operators are OpenMP element loops in the style of
+// apply_stiffness_local: element e writes only its own output block,
+// from stack scratch, with the same operation order whatever thread runs
+// it.  The static schedule is therefore bitwise independent of the
+// thread count.
 
-void PressureSystem::divergence_elem(int e, const double* const* u, double* dp,
-                                     double* work) const {
-  const Mesh& m = vspace_->mesh();
-  const int n1 = m.n1d();
-  const std::size_t off = static_cast<std::size_t>(e) * m.npe;
-  const std::size_t poff = static_cast<std::size_t>(e) * npe_;
-  double* deriv = work + static_cast<std::size_t>(m.npe) * 4;
-  // 3D stage buffers: u (x) dg and u (x) ig along x, then one y stage.
-  double* xd = work;
-  double* xi = work + m.npe;
-  double* yz = work + 2 * static_cast<std::size_t>(m.npe);
-  std::fill(dp + poff, dp + poff + npe_, 0.0);
-  for (int c = 0; c < dim_; ++c) {
+template <int D, int N1>
+void PressureSystem::divergence_elem(int e, const double* const* u,
+                                     double* dp) const {
+  constexpr int G = N1 - 2;
+  constexpr int NP = D == 2 ? G * G : G * G * G;
+  constexpr int NV = D == 2 ? N1 * N1 : N1 * N1 * N1;
+  const std::size_t off = static_cast<std::size_t>(e) * NV;
+  const std::size_t poff = static_cast<std::size_t>(e) * NP;
+  const double* ig = ig_.data();
+  const double* dg = dg_.data();
+  const double* igt = igt_.data();
+  const double* dgt = dgt_.data();
+  alignas(64) double acc[NP];
+  alignas(64) double deriv[NP];
+  for (int q = 0; q < NP; ++q) acc[q] = 0.0;
+  // dp += W J dr_j/dx_c * (d u_c / dr_j), in the order c, j.
+  auto accumulate = [&](int c, int j) {
+    const double* pg = pgeo(c, j) + poff;
+    for (int q = 0; q < NP; ++q) acc[q] += pg[q] * deriv[q];
+  };
+  for (int c = 0; c < D; ++c) {
     const double* uc = u[c] + off;
-    // In 3D the x stage u (x) ig is common to the j = 1 and j = 2
-    // derivatives; compute it once.  Stages still run x -> y -> z with
-    // the same shapes, so every derivative is bitwise what tensor3_apply
-    // gives.
-    if (dim_ == 3) {
-      mxm_bt(uc, n1 * n1, dg_.data(), n1, xd, ng1_);
-      mxm_bt(uc, n1 * n1, ig_.data(), n1, xi, ng1_);
-    }
-    for (int j = 0; j < dim_; ++j) {
-      // derivative along reference direction j, at Gauss points
-      if (dim_ == 2) {
-        const double* ax = (j == 0) ? dg_.data() : ig_.data();
-        const double* ay = (j == 1) ? dg_.data() : ig_.data();
-        tensor2_apply(ax, ng1_, n1, ay, ng1_, n1, uc, deriv, work);
-      } else {
-        const double* x = (j == 0) ? xd : xi;
-        const double* ay = (j == 1) ? dg_.data() : ig_.data();
-        const double* az = (j == 2) ? dg_.data() : ig_.data();
-        for (int k = 0; k < n1; ++k)
-          mxm(ay, ng1_, x + static_cast<std::ptrdiff_t>(k) * n1 * ng1_, n1,
-              yz + static_cast<std::ptrdiff_t>(k) * ng1_ * ng1_, ng1_);
-        mxm(az, ng1_, yz, n1, deriv, ng1_ * ng1_);
+    if constexpr (D == 2) {
+      // y stage (G, N1, N1): ig u and dg u; x stage (G, N1, G).
+      alignas(64) double yi[G * N1], yd[G * N1];
+      stage<G, N1, N1>(ig, uc, yi);
+      stage<G, N1, N1>(dg, uc, yd);
+      stage<G, N1, G>(yi, dgt, deriv);
+      accumulate(c, 0);
+      stage<G, N1, G>(yd, igt, deriv);
+      accumulate(c, 1);
+    } else {
+      // z stage (G, N1, N1^2): dg u, and ig u shared by the r and s
+      // derivatives; y stage (G, N1, N1) per plane; x stage (G^2, N1, G).
+      // The widest stages come first, where their rows are longest.
+      alignas(64) double zd[G * N1 * N1], zi[G * N1 * N1], yx[G * G * N1];
+      stage<G, N1, N1 * N1>(dg, uc, zd);
+      stage<G, N1, N1 * N1>(ig, uc, zi);
+      for (int j = 0; j < 3; ++j) {
+        const double* z = j == 2 ? zd : zi;
+        const double* ay = j == 1 ? dg : ig;
+        const double* bx = j == 0 ? dgt : igt;
+        for (int k = 0; k < G; ++k)
+          stage<G, N1, N1>(ay, z + k * N1 * N1, yx + k * G * N1);
+        stage<G * G, N1, G>(yx, bx, deriv);
+        accumulate(c, j);
       }
-      const double* pgij = pgeo(c, j) + poff;
-      for (int q = 0; q < npe_; ++q) dp[poff + q] += pgij[q] * deriv[q];
+    }
+  }
+  std::copy(acc, acc + NP, dp + poff);
+}
+
+template <int D, int N1>
+void PressureSystem::gradient_t_elem(int e, const double* p,
+                                     double* const* w) const {
+  constexpr int G = N1 - 2;
+  constexpr int NP = D == 2 ? G * G : G * G * G;
+  constexpr int NV = D == 2 ? N1 * N1 : N1 * N1 * N1;
+  const std::size_t off = static_cast<std::size_t>(e) * NV;
+  const std::size_t poff = static_cast<std::size_t>(e) * NP;
+  const double* ig = ig_.data();
+  const double* dg = dg_.data();
+  const double* igt = igt_.data();
+  const double* idgt = idgt_.data();
+  const double* pe = p + poff;
+  // w_c = sum_j R_j^T (W J dr_j/dx_c * p), R_j = d/dr_j at the Gauss
+  // points.  The r and s terms share the outermost ig^T stage, so their
+  // partial results are stacked and contracted together against
+  // [ig^T | dg^T]; in 3D the t term joins them in the z stage the same
+  // way.  The last stage writes w_c's block directly.
+  for (int c = 0; c < D; ++c) {
+    const double* pg0 = pgeo(c, 0) + poff;
+    const double* pg1 = pgeo(c, 1) + poff;
+    if constexpr (D == 2) {
+      // x stage (G, G, N1) into the stacked (2G x N1) block; y stage
+      // (N1, 2G, N1).
+      alignas(64) double t0[G * G], t1[G * G], x01[2 * G * N1];
+      for (int q = 0; q < G * G; ++q) {
+        t0[q] = pg0[q] * pe[q];
+        t1[q] = pg1[q] * pe[q];
+      }
+      stage<G, G, N1>(t0, dg, x01);
+      stage<G, G, N1>(t1, ig, x01 + G * N1);
+      stage<N1, 2 * G, N1>(idgt, x01, w[c] + off);
+    } else {
+      // Plane by plane: x stages (G, G, N1), then y stages (N1, 2G, N1)
+      // for the r + s terms and (N1, G, N1) for the t term, into the
+      // stacked (2G x N1^2) y01/y2 block; one z stage (N1, 2G, N1^2).
+      const double* pg2 = pgeo(c, 2) + poff;
+      alignas(64) double t0[G * G], t1[G * G], t2[G * G];
+      alignas(64) double x01[2 * G * N1], x2[G * N1];
+      alignas(64) double y[2 * G * N1 * N1];
+      for (int k = 0; k < G; ++k) {
+        const int pk = k * G * G;
+        for (int q = 0; q < G * G; ++q) {
+          t0[q] = pg0[pk + q] * pe[pk + q];
+          t1[q] = pg1[pk + q] * pe[pk + q];
+          t2[q] = pg2[pk + q] * pe[pk + q];
+        }
+        stage<G, G, N1>(t0, dg, x01);
+        stage<G, G, N1>(t1, ig, x01 + G * N1);
+        stage<G, G, N1>(t2, ig, x2);
+        stage<N1, 2 * G, N1>(idgt, x01, y + k * N1 * N1);
+        stage<N1, G, N1>(igt, x2, y + (G + k) * N1 * N1);
+      }
+      stage<N1, 2 * G, N1 * N1>(idgt, y, w[c] + off);
     }
   }
 }
 
-void PressureSystem::gradient_t_elem(int e, const double* p, double* const* w,
-                                     double* work) const {
-  const Mesh& m = vspace_->mesh();
-  const int n1 = m.n1d();
-  const std::size_t off = static_cast<std::size_t>(e) * m.npe;
-  const std::size_t poff = static_cast<std::size_t>(e) * npe_;
-  double* t = work + static_cast<std::size_t>(m.npe) * 4;
-  double* out = t + npe_;
-  for (int c = 0; c < dim_; ++c) std::fill(w[c] + off, w[c] + off + m.npe, 0.0);
-  for (int c = 0; c < dim_; ++c) {
-    for (int j = 0; j < dim_; ++j) {
-      const double* pgij = pgeo(c, j) + poff;
-      for (int q = 0; q < npe_; ++q) t[q] = pgij[q] * p[poff + q];
-      if (dim_ == 2) {
-        const double* ax = (j == 0) ? dgt_.data() : igt_.data();
-        const double* ay = (j == 1) ? dgt_.data() : igt_.data();
-        tensor2_apply(ax, n1, ng1_, ay, n1, ng1_, t, out, work);
-      } else {
-        const double* ax = (j == 0) ? dgt_.data() : igt_.data();
-        const double* ay = (j == 1) ? dgt_.data() : igt_.data();
-        const double* az = (j == 2) ? dgt_.data() : igt_.data();
-        tensor3_apply(ax, n1, ng1_, ay, n1, ng1_, az, n1, ng1_, t, out, work);
-      }
-      for (int q = 0; q < m.npe; ++q) w[c][off + q] += out[q];
-    }
-  }
-}
-
-std::size_t PressureSystem::elem_work_size() const {
-  const std::size_t vnpe = vspace_->mesh().npe;
-  return 4 * vnpe + npe_ + vnpe;
+// The kernel table: one instantiation per dimension and order
+// kMinOrder..kMaxOrder (GLL point count N1 = order + 1).
+template <int... Is>
+void PressureSystem::bind_kernels(std::integer_sequence<int, Is...>) {
+  static constexpr DivergenceElem kDiv[2][sizeof...(Is)] = {
+      {&PressureSystem::divergence_elem<2, Is + kMinOrder + 1>...},
+      {&PressureSystem::divergence_elem<3, Is + kMinOrder + 1>...}};
+  static constexpr GradientTElem kGradT[2][sizeof...(Is)] = {
+      {&PressureSystem::gradient_t_elem<2, Is + kMinOrder + 1>...},
+      {&PressureSystem::gradient_t_elem<3, Is + kMinOrder + 1>...}};
+  const int k = vspace_->mesh().order - kMinOrder;
+  divergence_elem_ = kDiv[dim_ - 2][k];
+  gradient_t_elem_ = kGradT[dim_ - 2][k];
 }
 
 void PressureSystem::divergence(const double* const* u, double* dp) const {
   const int nelem = vspace_->mesh().nelem;
-  const std::size_t nwork = elem_work_size();
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static)
 #endif
-  for (int e = 0; e < nelem; ++e)
-    divergence_elem(e, u, dp, work_.get(nwork));
+  for (int e = 0; e < nelem; ++e) (this->*divergence_elem_)(e, u, dp);
 }
 
 void PressureSystem::gradient_t(const double* p, double* const* w) const {
   const int nelem = vspace_->mesh().nelem;
-  const std::size_t nwork = elem_work_size();
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static)
 #endif
-  for (int e = 0; e < nelem; ++e)
-    gradient_t_elem(e, p, w, work_.get(nwork));
+  for (int e = 0; e < nelem; ++e) (this->*gradient_t_elem_)(e, p, w);
 }
 
 void PressureSystem::apply_E(const double* p, double* ep) const {
@@ -251,18 +330,15 @@ void PressureSystem::apply_E(const double* p, double* ep) const {
   for (int c = 0; c < dim_; ++c) vspace_->gs().op(t[c]);
   // D with the B^{-1} mask scaling folded into each element's read: the
   // element scales its own block of t just before differentiating it.
-  const double* bmi = vspace_->bm_inv().data();
-  const double* vmask = vmask_.data();
-  const std::size_t nwork = elem_work_size();
+  const double* bmask = bmask_.data();
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static)
 #endif
   for (int e = 0; e < m.nelem; ++e) {
     const std::size_t off = static_cast<std::size_t>(e) * m.npe;
     for (int c = 0; c < dim_; ++c)
-      for (std::size_t i = off; i < off + m.npe; ++i)
-        t[c][i] *= bmi[i] * vmask[i];
-    divergence_elem(e, t, ep, work_.get(nwork));
+      for (std::size_t i = off; i < off + m.npe; ++i) t[c][i] *= bmask[i];
+    (this->*divergence_elem_)(e, t, ep);
   }
 }
 

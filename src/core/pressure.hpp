@@ -14,12 +14,12 @@
 #pragma once
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/space.hpp"
 #include "solver/cg.hpp"
 #include "solver/projection.hpp"
-#include "tensor/tensor_apply.hpp"
 
 namespace tsem {
 
@@ -27,7 +27,9 @@ class PressureSystem {
  public:
   /// vmask: the velocity Dirichlet mask entering B^{-1} (the same mask
   /// used by the Helmholtz solves).  For fully enclosed flows E is
-  /// singular with nullspace = constants; see remove_mean().
+  /// singular with nullspace = constants; see remove_mean().  The mesh
+  /// order must lie in 3..16, the orders the element kernels are
+  /// compiled for.
   PressureSystem(const Space& vspace, std::vector<double> vmask);
 
   /// Gauss points per direction (= N - 1).
@@ -68,7 +70,6 @@ class PressureSystem {
   [[nodiscard]] const std::vector<double>& pz() const { return pz_; }
 
   [[nodiscard]] const Space& vspace() const { return *vspace_; }
-  [[nodiscard]] const std::vector<double>& vmask() const { return vmask_; }
 
   /// W_g J_g dr_j/dx_i at the Gauss nodes (component-major like Mesh::g).
   [[nodiscard]] const double* pgeo(int i, int j) const {
@@ -77,7 +78,6 @@ class PressureSystem {
 
  private:
   const Space* vspace_;
-  std::vector<double> vmask_;
   int dim_;
   int ng1_;
   int npe_;
@@ -85,27 +85,34 @@ class PressureSystem {
   std::vector<double> pbm_;  // nloc
   std::vector<double> px_, py_, pz_;
   // 1D coupling matrices: ig (Gauss x GLL interpolation), dg = ig * Dhat,
-  // and their transposes.
-  std::vector<double> ig_, dg_, igt_, dgt_;
-  // Per-thread element scratch: every OpenMP thread of the divergence,
-  // gradient_t and apply_E element loops takes its own slab of
-  // elem_work_size() doubles, so the loops share no scratch.
-  mutable TensorWork work_;
+  // their transposes, and the side-by-side pair [igt | dgt] (N1 x 2G)
+  // that D^T's y and z stages contract against in one product.
+  std::vector<double> ig_, dg_, igt_, dgt_, idgt_;
+  // B^{-1} * vmask, formed once by the constructor: apply_E scales the
+  // gs-summed D^T p by it.
+  std::vector<double> bmask_;
   // apply_E's velocity-length fields (D^T p, then gs-summed and scaled by
   // B^{-1} mask in place, element by element, as D reads them).  Sized
   // lazily on first use so E applications never allocate in steady state.
-  // They hold whole fields across the gs exchange, so they cannot live in
-  // the per-element work_ slabs.
   mutable std::vector<double> et_[3];
 
-  /// Doubles of work_ scratch one element of any of the loops uses.
-  [[nodiscard]] std::size_t elem_work_size() const;
-  /// Element e of dp = D u: zeroes and fills dp's block e only.
-  void divergence_elem(int e, const double* const* u, double* dp,
-                       double* work) const;
-  /// Element e of w = D^T p: zeroes and fills block e of each w[c] only.
-  void gradient_t_elem(int e, const double* p, double* const* w,
-                       double* work) const;
+  // Element kernels, compiled for each (dimension, GLL point count) and
+  // chosen once by the constructor; their scratch lives on the stack at
+  // compile-time sizes.  divergence_elem zeroes and fills dp's block e
+  // only; gradient_t_elem overwrites block e of each w[c] only.
+  using DivergenceElem = void (PressureSystem::*)(int, const double* const*,
+                                                  double*) const;
+  using GradientTElem = void (PressureSystem::*)(int, const double*,
+                                                 double* const*) const;
+  DivergenceElem divergence_elem_ = nullptr;
+  GradientTElem gradient_t_elem_ = nullptr;
+  template <int D, int N1>
+  void divergence_elem(int e, const double* const* u, double* dp) const;
+  template <int D, int N1>
+  void gradient_t_elem(int e, const double* p, double* const* w) const;
+  /// Point the two kernel pointers at the instantiation for this mesh.
+  template <int... Is>
+  void bind_kernels(std::integer_sequence<int, Is...>);
 };
 
 struct PressureSolveOptions {

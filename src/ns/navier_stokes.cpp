@@ -550,75 +550,78 @@ bool NavierStokes::attempt_step(double dt, int order,
   std::vector<std::vector<double>>& rhs = scr.rhs;
   for (int f = 0; f < nf; ++f) rhs[f].assign(nl_, 0.0);
 
-  if (opt_.convection == NsOptions::Convection::Oifs) {
-    for (int q = 1; q <= order; ++q) {
-      // Fields at t^{n-q}: copies that get advected to t^n.
-      std::vector<std::vector<double>>& adv = scr.adv;
-      std::vector<std::vector<double>*>& fptr = scr.fptr;
-      std::vector<const double*>& fmask = scr.fmask;
+  {
+    const obs::ScopedTimer timer("convection");
+    if (opt_.convection == NsOptions::Convection::Oifs) {
+      for (int q = 1; q <= order; ++q) {
+        // Fields at t^{n-q}: copies that get advected to t^n.
+        std::vector<std::vector<double>>& adv = scr.adv;
+        std::vector<std::vector<double>*>& fptr = scr.fptr;
+        std::vector<const double*>& fmask = scr.fmask;
+        for (int c = 0; c < dim_; ++c) {
+          adv[c] = (q == 1) ? un1[c] : uh_[q - 2][c];
+          fptr[c] = &adv[c];
+          fmask[c] = mask_.data();
+        }
+        for (std::size_t sc = 0; sc < scalars_.size(); ++sc) {
+          const int f = dim_ + static_cast<int>(sc);
+          adv[f] = (q == 1) ? thn1[sc] : scalars_[sc]->hist[q - 2];
+          fptr[f] = &adv[f];
+          fmask[f] = scalars_[sc]->mask.data();
+        }
+        oifs_advect(dt, q, order, base_sub, fptr, fmask);
+        const double coef = cq[q - 1] / dt;
+        for (int f = 0; f < nf; ++f)
+          for (std::size_t i = 0; i < nl_; ++i) rhs[f][i] += coef * adv[f][i];
+      }
+    } else {
+      // EXTk: BDF terms on the raw history + extrapolated convection.
+      double gam[3] = {1.0, 0.0, 0.0};
+      if (order == 2) {
+        gam[0] = 2.0;
+        gam[1] = -1.0;
+      } else if (order == 3) {
+        gam[0] = 3.0;
+        gam[1] = -3.0;
+        gam[2] = 1.0;
+      }
+      // Convection of the newest level into history slot 0 (rotated below).
+      // One element loop advects every component and scalar with the shared
+      // velocity.
+      const double* vel[3] = {un1[0].data(), un1[1].data(),
+                              dim_ == 3 ? un1[2].data() : nullptr};
       for (int c = 0; c < dim_; ++c) {
-        adv[c] = (q == 1) ? un1[c] : uh_[q - 2][c];
-        fptr[c] = &adv[c];
-        fmask[c] = mask_.data();
+        scr.min[c] = un1[c].data();
+        scr.mout[c] = ch_[0][c].data();
       }
       for (std::size_t sc = 0; sc < scalars_.size(); ++sc) {
-        const int f = dim_ + static_cast<int>(sc);
-        adv[f] = (q == 1) ? thn1[sc] : scalars_[sc]->hist[q - 2];
-        fptr[f] = &adv[f];
-        fmask[f] = scalars_[sc]->mask.data();
+        scr.min[dim_ + sc] = thn1[sc].data();
+        scr.mout[dim_ + sc] = scalars_[sc]->hist[2].data();
       }
-      oifs_advect(dt, q, order, base_sub, fptr, fmask);
-      const double coef = cq[q - 1] / dt;
-      for (int f = 0; f < nf; ++f)
-        for (std::size_t i = 0; i < nl_; ++i) rhs[f][i] += coef * adv[f][i];
-    }
-  } else {
-    // EXTk: BDF terms on the raw history + extrapolated convection.
-    double gam[3] = {1.0, 0.0, 0.0};
-    if (order == 2) {
-      gam[0] = 2.0;
-      gam[1] = -1.0;
-    } else if (order == 3) {
-      gam[0] = 3.0;
-      gam[1] = -3.0;
-      gam[2] = 1.0;
-    }
-    // Convection of the newest level into history slot 0 (rotated below).
-    // One element loop advects every component and scalar with the shared
-    // velocity.
-    const double* vel[3] = {un1[0].data(), un1[1].data(),
-                            dim_ == 3 ? un1[2].data() : nullptr};
-    for (int c = 0; c < dim_; ++c) {
-      scr.min[c] = un1[c].data();
-      scr.mout[c] = ch_[0][c].data();
-    }
-    for (std::size_t sc = 0; sc < scalars_.size(); ++sc) {
-      scr.min[dim_ + sc] = thn1[sc].data();
-      scr.mout[dim_ + sc] = scalars_[sc]->hist[2].data();
-    }
-    convect_local_multi(m, vel, scr.min.data(), scr.mout.data(), nf, work_);
-    flops_total_ += nf * convection_flops(m);
-    for (int q = 1; q <= order; ++q) {
-      const double coef = cq[q - 1] / dt;
-      for (int c = 0; c < dim_; ++c) {
-        const auto& uq = (q == 1) ? un1[c] : uh_[q - 2][c];
-        for (std::size_t i = 0; i < nl_; ++i) rhs[c][i] += coef * uq[i];
+      convect_local_multi(m, vel, scr.min.data(), scr.mout.data(), nf, work_);
+      flops_total_ += nf * convection_flops(m);
+      for (int q = 1; q <= order; ++q) {
+        const double coef = cq[q - 1] / dt;
+        for (int c = 0; c < dim_; ++c) {
+          const auto& uq = (q == 1) ? un1[c] : uh_[q - 2][c];
+          for (std::size_t i = 0; i < nl_; ++i) rhs[c][i] += coef * uq[i];
+        }
+        for (std::size_t sc = 0; sc < scalars_.size(); ++sc) {
+          const auto& tq = (q == 1) ? thn1[sc] : scalars_[sc]->hist[q - 2];
+          for (std::size_t i = 0; i < nl_; ++i)
+            rhs[dim_ + sc][i] += coef * tq[i];
+        }
       }
-      for (std::size_t sc = 0; sc < scalars_.size(); ++sc) {
-        const auto& tq = (q == 1) ? thn1[sc] : scalars_[sc]->hist[q - 2];
-        for (std::size_t i = 0; i < nl_; ++i)
-          rhs[dim_ + sc][i] += coef * tq[i];
+      for (int q = 1; q <= order; ++q) {
+        if (gam[q - 1] == 0.0) continue;
+        for (int c = 0; c < dim_; ++c) {
+          const auto& cc = (q == 1) ? ch_[0][c] : ch_[q - 1][c];
+          for (std::size_t i = 0; i < nl_; ++i)
+            rhs[c][i] -= gam[q - 1] * cc[i];
+        }
+        // (scalar EXT convection history kept in hist[2] for q=1 only; the
+        // scalar path is primarily exercised with OIFS)
       }
-    }
-    for (int q = 1; q <= order; ++q) {
-      if (gam[q - 1] == 0.0) continue;
-      for (int c = 0; c < dim_; ++c) {
-        const auto& cc = (q == 1) ? ch_[0][c] : ch_[q - 1][c];
-        for (std::size_t i = 0; i < nl_; ++i)
-          rhs[c][i] -= gam[q - 1] * cc[i];
-      }
-      // (scalar EXT convection history kept in hist[2] for q=1 only; the
-      // scalar path is primarily exercised with OIFS)
     }
   }
 

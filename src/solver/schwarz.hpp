@@ -24,6 +24,7 @@
 #include "solver/coarse.hpp"
 #include "solver/fdm.hpp"
 #include "solver/overlap.hpp"
+#include "tensor/workspace.hpp"
 
 namespace tsem {
 

@@ -4,16 +4,17 @@
 // dispatch (mxm.hpp).
 //
 // mxm_fixed_dispatch exact-matches the runtime shape against a set of
-// precompiled instantiations covering the shapes the discretization
-// actually runs at orders N = 8..16:
+// precompiled instantiations, for every d = 2..16 (mxm_fixed_covers):
 //
-//   cubes        (d, d, d)    for d = 2..16   — tensor middle stages and
-//                                               2D element products
-//   long shapes  (d, d, d*d)  for d = 2..16   — tensor3_apply final stage
-//                                               (collapsed plane extent)
+//   cubes        (d, d, d)    — tensor middle stages and 2D element
+//                               products
+//   long shapes  (d, d, d*d)  — tensor3_apply final stage (collapsed
+//                               plane extent)
 //
 // and falls back to the scalar f2/f3 shape rule otherwise, so it is safe
-// under ANY call shape.  The restrict-qualified constant-extent loops let
+// under ANY call shape.  Callers whose shapes are known per order at
+// compile time (the pressure D and D^T element kernels, core/pressure.cpp)
+// instantiate mxm_fixed directly instead of going through the dispatch.  The restrict-qualified constant-extent loops let
 // the compiler vectorize aggressively, so agreement with the reference
 // kernels is the family's relative accuracy contract, not bitwise
 // (DESIGN.md "Tolerance vs. bitwise policy").  No runtime ISA gate — the

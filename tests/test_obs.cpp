@@ -455,6 +455,7 @@ TEST(ObsIntegration, NavierStokesStepEmitsStructuredEvent) {
   // up the nested label.
   EXPECT_EQ(reg.histogram("time/ns/step/pressure/solve").count(), 2);
   EXPECT_GE(reg.histogram("time/ns/step/helmholtz/solve").count(), 2);
+  EXPECT_EQ(reg.histogram("time/ns/step/convection").count(), 2);
   EXPECT_EQ(reg.histogram("ns/pressure_iters").count(), 2);
   (void)st1;
   reg.reset();

@@ -318,10 +318,6 @@ void check_multi_matches_single(const Space& s) {
   for (int f = 0; f < nf; ++f) wp[f] = wm[f].data();
   for (int f = 0; f < nf; ++f)
     tsem::apply_stiffness_local(m, u[f].data(), ws[f].data(), w1);
-  tsem::apply_stiffness_local_multi(m, up.data(), wp.data(), nf, w2);
-  for (int f = 0; f < nf; ++f)
-    for (std::size_t i = 0; i < nl; ++i)
-      ASSERT_EQ(wm[f][i], ws[f][i]) << "stiffness field " << f;
 
   // Element-list driver over all elements, odd elements first: any
   // disjoint split of the sweep must reproduce the full loop.
@@ -357,22 +353,6 @@ void check_multi_matches_single(const Space& s) {
       ASSERT_EQ(we[i], wref[f][i]) << "helmholtz _elems field " << f;
     }
   }
-
-  // Gradient.
-  const int nc = 3;  // test a pointer-table stride of dim for 3 fields
-  std::vector<std::vector<double>> gs(nc * m.dim, std::vector<double>(nl)),
-      gm(nc * m.dim, std::vector<double>(nl));
-  for (int f = 0; f < nc; ++f) {
-    double* g[3];
-    for (int c = 0; c < m.dim; ++c) g[c] = gs[f * m.dim + c].data();
-    tsem::gradient_local(m, u[f].data(), g, w1);
-  }
-  std::vector<double*> gp(nc * m.dim);
-  for (std::size_t i = 0; i < gp.size(); ++i) gp[i] = gm[i].data();
-  tsem::gradient_local_multi(m, up.data(), gp.data(), nc, w2);
-  for (std::size_t f = 0; f < gp.size(); ++f)
-    for (std::size_t i = 0; i < nl; ++i)
-      ASSERT_EQ(gm[f][i], gs[f][i]) << "gradient slot " << f;
 
   // Convection (shared advecting velocity).
   for (int f = 0; f < nf; ++f)
