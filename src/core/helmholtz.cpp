@@ -111,139 +111,43 @@ int helmholtz_solve_multi(const HelmholtzOp& h,
     return space.glsum_dot(a2, b2);
   };
 
-  // Per-field CG state, mirroring pcg() exactly (cg.hpp); a field whose
+  // One pcg() recurrence per field (CgStepper, cg.hpp); a field whose
   // recurrence exits simply drops out of the applies.
-  struct Field {
-    double* r;
-    double* z;
-    double* p;
-    double* ap;
-    double rnorm, target, rz, best, last_finite;
-    int best_it;
-    bool active;
-    bool entered;  // reached the iteration loop (not a setup exit)
-  } st[kMaxSolveFields];
-
+  CgOptions copt;  // stall_window default, as in pcg()
+  copt.max_iter = opt.max_iter;
+  copt.tol = opt.tol;
+  copt.relative = true;
+  CgStepper st[kMaxSolveFields];
   {
     const double* xin[kMaxSolveFields];
     double* apout[kMaxSolveFields];
     for (int f = 0; f < nf; ++f) {
-      st[f].r = scr.cg[f].r.data();
-      st[f].z = scr.cg[f].z.data();
-      st[f].p = scr.cg[f].p.data();
-      st[f].ap = scr.cg[f].ap.data();
+      st[f] = CgStepper(nl, scr.cg[f], scr.x[f].data(), copt, results[f]);
       xin[f] = scr.x[f].data();
-      apout[f] = st[f].ap;
+      apout[f] = st[f].ap();
     }
     h.apply_multi(xin, apout, nf);
   }
+  // The still-active fields, in field order.
+  int active[kMaxSolveFields];
+  int na = 0;
+  for (int f = 0; f < nf; ++f)
+    if (st[f].begin(scr.b[f].data(), prec, dot)) active[na++] = f;
 
-  int nactive = 0;
-  for (int f = 0; f < nf; ++f) {
-    Field& s = st[f];
-    CgResult& res = results[f];
-    res = CgResult{};
-    const double* b = scr.b[f].data();
-    for (std::size_t i = 0; i < nl; ++i) s.r[i] = b[i] - s.ap[i];
-    s.rnorm = std::sqrt(dot(s.r, s.r));
-    res.initial_residual = s.rnorm;
-    s.active = false;
-    s.entered = false;
-    if (!std::isfinite(s.rnorm)) {
-      res.status = SolveStatus::NonFinite;
-      res.final_residual = s.rnorm;
-      continue;
-    }
-    s.target = opt.tol * (s.rnorm > 0 ? s.rnorm : 1.0);
-    if (s.rnorm <= s.target) {
-      res.converged = true;
-      res.status = SolveStatus::Converged;
-      res.final_residual = s.rnorm;
-      continue;
-    }
-    prec(s.r, s.z);
-    for (std::size_t i = 0; i < nl; ++i) s.p[i] = s.z[i];
-    s.rz = dot(s.r, s.z);
-    s.best = s.rnorm;
-    s.last_finite = s.rnorm;
-    s.best_it = 0;
-    s.active = true;
-    s.entered = true;
-    res.status = SolveStatus::MaxIter;
-    ++nactive;
-  }
-
-  const CgOptions copt;  // stall_window default, as in pcg()
-  for (int it = 1; it <= opt.max_iter && nactive > 0; ++it) {
+  for (int it = 1; it <= opt.max_iter && na > 0; ++it) {
     const double* pp[kMaxSolveFields];
     double* app[kMaxSolveFields];
-    int idx[kMaxSolveFields];
-    int na = 0;
-    for (int f = 0; f < nf; ++f)
-      if (st[f].active) {
-        pp[na] = st[f].p;
-        app[na] = st[f].ap;
-        idx[na] = f;
-        ++na;
-      }
-    h.apply_multi(pp, app, na);
     for (int a = 0; a < na; ++a) {
-      const int f = idx[a];
-      Field& s = st[f];
-      CgResult& res = results[f];
-      const double pap = dot(s.p, s.ap);
-      if (!(pap > 0.0)) {
-        res.status = std::isfinite(pap) ? SolveStatus::Breakdown
-                                        : SolveStatus::NonFinite;
-        s.active = false;
-        --nactive;
-        continue;
-      }
-      const double alpha = s.rz / pap;
-      double* const x = scr.x[f].data();
-      for (std::size_t i = 0; i < nl; ++i) {
-        x[i] += alpha * s.p[i];
-        s.r[i] -= alpha * s.ap[i];
-      }
-      s.rnorm = std::sqrt(dot(s.r, s.r));
-      res.iterations = it;
-      if (!std::isfinite(s.rnorm)) {
-        res.status = SolveStatus::NonFinite;
-        s.active = false;
-        --nactive;
-        continue;
-      }
-      s.last_finite = s.rnorm;
-      if (s.rnorm <= s.target) {
-        res.converged = true;
-        res.status = SolveStatus::Converged;
-        s.active = false;
-        --nactive;
-        continue;
-      }
-      if (s.rnorm < 0.999 * s.best) {
-        s.best = s.rnorm;
-        s.best_it = it;
-      } else if (it - s.best_it >= copt.stall_window) {
-        res.status = SolveStatus::Stalled;
-        s.active = false;
-        --nactive;
-        continue;
-      }
-      prec(s.r, s.z);
-      const double rz_new = dot(s.r, s.z);
-      const double beta = rz_new / s.rz;
-      s.rz = rz_new;
-      for (std::size_t i = 0; i < nl; ++i) s.p[i] = s.z[i] + beta * s.p[i];
+      pp[a] = st[active[a]].p();
+      app[a] = st[active[a]].ap();
     }
+    h.apply_multi(pp, app, na);
+    int keep = 0;
+    for (int a = 0; a < na; ++a)
+      if (st[active[a]].advance(it, prec, dot)) active[keep++] = active[a];
+    na = keep;
   }
-  // pcg's epilogue for every field that entered the loop (break or
-  // MaxIter): report the last finite residual.  Setup exits already set
-  // final_residual themselves.
-  for (int f = 0; f < nf; ++f)
-    if (st[f].entered)
-      results[f].final_residual =
-          std::isfinite(st[f].rnorm) ? st[f].rnorm : st[f].last_finite;
+  for (int f = 0; f < nf; ++f) st[f].finish();
 
   // Commit + obs in FIELD ORDER, stopping after the first failed field —
   // exactly the trace a sequential per-field loop with early exit leaves.

@@ -77,11 +77,11 @@ inline constexpr int kMaxSolveFields = 8;
 /// on entry (warm start unless zero_guess) and the solution on return.
 /// Pass a persistent `scratch` to make repeated solves allocation-free.
 ///
-/// Each field runs pcg()'s recurrence (cg.hpp) with its own alpha/beta/dots
-/// and drops out of the applies the moment it exits, so per-field iterates,
-/// iteration counts and statuses are bitwise identical to nf separate pcg()
-/// solves.  results[0..nf-1] receives each field's CgResult, whose
-/// SolveStatus the time stepper's recovery policy keys on.
+/// Each field advances its own CgStepper (cg.hpp), the recurrence pcg()
+/// itself runs, and drops out of the applies the moment it exits, so
+/// per-field iterates, iteration counts and statuses are bitwise identical
+/// to nf separate pcg() solves.  results[0..nf-1] receives each field's
+/// CgResult, whose SolveStatus the time stepper's recovery policy keys on.
 ///
 /// Commit semantics mirror a sequential loop that stops at the first
 /// failure (failed = hard failure, or MaxIter when maxiter_is_failure):

@@ -169,6 +169,8 @@ NavierStokes::~NavierStokes() = default;
 int NavierStokes::add_scalar(std::uint32_t dirichlet_tags,
                              double diffusivity) {
   TSEM_REQUIRE(nsteps_ == 0);  // add species before the first step
+  // Only OIFS advects scalars; EXT convects the velocity components only.
+  TSEM_REQUIRE(opt_.convection == NsOptions::Convection::Oifs);
   auto sc = std::make_unique<ScalarData>();
   sc->diffusivity = diffusivity;
   sc->mask = space_->make_mask(dirichlet_tags);
@@ -287,9 +289,8 @@ void NavierStokes::oifs_advect(
   const double t_n2 = -dt;
 
   // Advecting velocity at relative time s (s = 0 at t^{n-1}, the newest
-  // known level; the integration runs from -(q-1)*dt ... wait, the field
-  // being advected starts at t^{n-q} = -(q-1)*dt relative to t^{n-1} and
-  // ends at t^n = +dt.
+  // known level).  Relative to t^{n-1}, the integration runs from
+  // t^{n-q} = -(q-1)*dt to t^n = +dt.
   std::array<std::vector<double>, 3>& vbuf = scr_->vbuf;
   auto velocity_at = [&](double s) {
     for (int c = 0; c < dim_; ++c) {
@@ -586,30 +587,22 @@ bool NavierStokes::attempt_step(double dt, int order,
         gam[2] = 1.0;
       }
       // Convection of the newest level into history slot 0 (rotated below).
-      // One element loop advects every component and scalar with the shared
-      // velocity.
+      // One element loop advects every component with the shared velocity;
+      // add_scalar admits no scalars under EXT.
       const double* vel[3] = {un1[0].data(), un1[1].data(),
                               dim_ == 3 ? un1[2].data() : nullptr};
       for (int c = 0; c < dim_; ++c) {
         scr.min[c] = un1[c].data();
         scr.mout[c] = ch_[0][c].data();
       }
-      for (std::size_t sc = 0; sc < scalars_.size(); ++sc) {
-        scr.min[dim_ + sc] = thn1[sc].data();
-        scr.mout[dim_ + sc] = scalars_[sc]->hist[2].data();
-      }
-      convect_local_multi(m, vel, scr.min.data(), scr.mout.data(), nf, work_);
-      flops_total_ += nf * convection_flops(m);
+      convect_local_multi(m, vel, scr.min.data(), scr.mout.data(), dim_,
+                          work_);
+      flops_total_ += dim_ * convection_flops(m);
       for (int q = 1; q <= order; ++q) {
         const double coef = cq[q - 1] / dt;
         for (int c = 0; c < dim_; ++c) {
           const auto& uq = (q == 1) ? un1[c] : uh_[q - 2][c];
           for (std::size_t i = 0; i < nl_; ++i) rhs[c][i] += coef * uq[i];
-        }
-        for (std::size_t sc = 0; sc < scalars_.size(); ++sc) {
-          const auto& tq = (q == 1) ? thn1[sc] : scalars_[sc]->hist[q - 2];
-          for (std::size_t i = 0; i < nl_; ++i)
-            rhs[dim_ + sc][i] += coef * tq[i];
         }
       }
       for (int q = 1; q <= order; ++q) {
@@ -619,8 +612,6 @@ bool NavierStokes::attempt_step(double dt, int order,
           for (std::size_t i = 0; i < nl_; ++i)
             rhs[c][i] -= gam[q - 1] * cc[i];
         }
-        // (scalar EXT convection history kept in hist[2] for q=1 only; the
-        // scalar path is primarily exercised with OIFS)
       }
     }
   }

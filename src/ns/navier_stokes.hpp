@@ -164,8 +164,9 @@ class NavierStokes {
   void set_forcing(Forcing f) { forcing_ = std::move(f); }
 
   /// Optional advected-diffused scalars (temperature, species, ...):
-  /// the paper's "multiple-species transport" support.  Returns the
-  /// index of the new scalar.
+  /// the paper's "multiple-species transport" support.  Requires OIFS
+  /// convection (EXT advects the velocity only).  Returns the index of
+  /// the new scalar.
   int add_scalar(std::uint32_t dirichlet_tags, double diffusivity);
   [[nodiscard]] int nscalars() const {
     return static_cast<int>(scalars_.size());

@@ -13,7 +13,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -95,6 +94,142 @@ struct CgScratch {
   }
 };
 
+/// One right-hand side's PCG recurrence, advanced one operator apply at a
+/// time.  The driver owns the operator: before begin() it puts A x in
+/// ap(), before each advance() it puts A p() in ap().  pcg() below drives
+/// one stepper; helmholtz_solve_multi drives one per field in lockstep and
+/// batches their applies.  The stepper fills its CgResult and records
+/// nothing to obs, so each driver keeps its own trace order.
+class CgStepper {
+ public:
+  CgStepper() = default;
+  /// Iterate in place on x (the initial guess); Krylov vectors from
+  /// `work`, which must hold at least n entries.  Resets `res`.
+  CgStepper(std::size_t n, CgScratch& work, double* x, const CgOptions& opt,
+            CgResult& res)
+      : n_(n), x_(x), r_(work.r.data()), z_(work.z.data()),
+        p_(work.p.data()), ap_(work.ap.data()), opt_(&opt), res_(&res) {
+    res = CgResult{};
+  }
+
+  [[nodiscard]] double* p() const { return p_; }
+  [[nodiscard]] double* ap() const { return ap_; }
+
+  /// Setup, given ap() = A x: r = b - A x, the NonFinite and
+  /// already-converged exits, then z = M^{-1} r and p = z.  Returns
+  /// whether the recurrence goes on to iterate.
+  template <class Precond, class Dot>
+  bool begin(const double* b, Precond&& precond, Dot&& dot) {
+    const std::size_t n = n_;
+    double* const r = r_;
+    double* const z = z_;
+    double* const p = p_;
+    double* const ap = ap_;
+    CgResult& res = *res_;
+    for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
+    rnorm_ = std::sqrt(dot(r, r));
+    last_finite_ = rnorm_;  // a setup exit reports rnorm itself
+    res.initial_residual = rnorm_;
+    // Invariant on EVERY exit path: with record_history on,
+    // history.size() == iterations + 1 (entry 0 is the initial residual).
+    if (opt_->record_history) res.history.push_back(rnorm_);
+    if (!std::isfinite(rnorm_)) {
+      // Poisoned rhs or initial guess: bail before touching x.
+      res.status = SolveStatus::NonFinite;
+      return false;
+    }
+    target_ = opt_->relative ? opt_->tol * (rnorm_ > 0 ? rnorm_ : 1.0)
+                             : opt_->tol;
+    if (rnorm_ <= target_) {
+      res.converged = true;
+      res.status = SolveStatus::Converged;
+      return false;
+    }
+    precond(r, z);
+    for (std::size_t i = 0; i < n; ++i) p[i] = z[i];
+    rz_ = dot(r, z);
+    best_ = rnorm_;
+    best_it_ = 0;
+    res.status = SolveStatus::MaxIter;
+    return true;
+  }
+
+  /// Iteration `it` (1-based), given ap() = A p(): the x/r update, every
+  /// exit classification, then the next search direction.  Returns
+  /// whether the recurrence goes on; false leaves x at this iterate.
+  template <class Precond, class Dot>
+  bool advance(int it, Precond&& precond, Dot&& dot) {
+    const std::size_t n = n_;
+    double* const x = x_;
+    double* const r = r_;
+    double* const z = z_;
+    double* const p = p_;
+    double* const ap = ap_;
+    CgResult& res = *res_;
+    const double pap = dot(p, ap);
+    if (!(pap > 0.0)) {
+      // Loss of positive definiteness — or a NaN that poisons every
+      // comparison.  The two demand different responses upstream
+      // (indefinite operator vs corrupted data), so classify them apart.
+      res.status = std::isfinite(pap) ? SolveStatus::Breakdown
+                                      : SolveStatus::NonFinite;
+      return false;
+    }
+    const double alpha = rz_ / pap;
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] += alpha * p[i];
+      r[i] -= alpha * ap[i];
+    }
+    rnorm_ = std::sqrt(dot(r, r));
+    res.iterations = it;
+    if (opt_->record_history) res.history.push_back(rnorm_);
+    if (!std::isfinite(rnorm_)) {
+      res.status = SolveStatus::NonFinite;
+      return false;
+    }
+    last_finite_ = rnorm_;
+    if (rnorm_ <= target_) {
+      res.converged = true;
+      res.status = SolveStatus::Converged;
+      return false;
+    }
+    if (rnorm_ < 0.999 * best_) {
+      best_ = rnorm_;
+      best_it_ = it;
+    } else if (it - best_it_ >= opt_->stall_window) {
+      res.status = SolveStatus::Stalled;
+      return false;  // stagnated at the attainable floor
+    }
+    precond(r, z);
+    const double rz_new = dot(r, z);
+    const double beta = rz_new / rz_;
+    rz_ = rz_new;
+    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+    return true;
+  }
+
+  /// Epilogue, after any exit: a NonFinite exit leaves rnorm = NaN, so
+  /// report the last finite residual instead of a value no caller can act
+  /// on.  (On a Breakdown exit rnorm is still the previous iteration's
+  /// finite norm — x was not updated — so this is the identity there.)
+  void finish() {
+    res_->final_residual = std::isfinite(rnorm_) ? rnorm_ : last_finite_;
+  }
+
+ private:
+  std::size_t n_ = 0;
+  double* x_ = nullptr;
+  double* r_ = nullptr;
+  double* z_ = nullptr;
+  double* p_ = nullptr;
+  double* ap_ = nullptr;
+  const CgOptions* opt_ = nullptr;
+  CgResult* res_ = nullptr;
+  double rnorm_ = 0.0, target_ = 0.0, rz_ = 0.0, best_ = 0.0;
+  double last_finite_ = 0.0;
+  int best_it_ = 0;
+};
+
 /// Solve A x = b.  `apply(p, ap)` computes ap = A p; `precond(r, z)`
 /// computes z = M^{-1} r (may alias-copy for identity); `dot(u, v)` is the
 /// inner product in which A is self-adjoint.  x holds the initial guess on
@@ -107,92 +242,15 @@ CgResult pcg(std::size_t n, Apply&& apply, Precond&& precond, Dot&& dot,
   CgScratch local;
   CgScratch& work = scratch ? *scratch : local;
   work.ensure(n);
-  double* const r = work.r.data();
-  double* const z = work.z.data();
-  double* const p = work.p.data();
-  double* const ap = work.ap.data();
-
-  apply(x, ap);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
-
   CgResult res;
-  double rnorm = std::sqrt(dot(r, r));
-  res.initial_residual = rnorm;
-  // Invariant on EVERY exit path: with record_history on,
-  // history.size() == iterations + 1 (entry 0 is the initial residual).
-  if (opt.record_history) res.history.push_back(rnorm);
-  if (!std::isfinite(rnorm)) {
-    // Poisoned rhs or initial guess: bail before touching x.
-    res.status = SolveStatus::NonFinite;
-    res.final_residual = rnorm;
-    obs::record_solve("pcg", 0, rnorm, rnorm, to_string(res.status));
-    return res;
-  }
-  const double target = opt.relative ? opt.tol * (rnorm > 0 ? rnorm : 1.0)
-                                     : opt.tol;
-  if (rnorm <= target) {
-    res.converged = true;
-    res.status = SolveStatus::Converged;
-    res.final_residual = rnorm;
-    obs::record_solve("pcg", 0, rnorm, rnorm, to_string(res.status));
-    return res;
-  }
-
-  precond(r, z);
-  for (std::size_t i = 0; i < n; ++i) p[i] = z[i];
-  double rz = dot(r, z);
-
-  double best = rnorm;
-  double last_finite = rnorm;
-  int best_it = 0;
-  res.status = SolveStatus::MaxIter;
-  for (int it = 1; it <= opt.max_iter; ++it) {
-    apply(p, ap);
-    const double pap = dot(p, ap);
-    if (!(pap > 0.0)) {
-      // Loss of positive definiteness — or a NaN that poisons every
-      // comparison.  The two demand different responses upstream
-      // (indefinite operator vs corrupted data), so classify them apart.
-      res.status = std::isfinite(pap) ? SolveStatus::Breakdown
-                                      : SolveStatus::NonFinite;
-      break;
+  CgStepper cg(n, work, x, opt, res);
+  apply(x, cg.ap());
+  if (cg.begin(b, precond, dot))
+    for (int it = 1; it <= opt.max_iter; ++it) {
+      apply(cg.p(), cg.ap());
+      if (!cg.advance(it, precond, dot)) break;
     }
-    const double alpha = rz / pap;
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += alpha * p[i];
-      r[i] -= alpha * ap[i];
-    }
-    rnorm = std::sqrt(dot(r, r));
-    res.iterations = it;
-    if (opt.record_history) res.history.push_back(rnorm);
-    if (!std::isfinite(rnorm)) {
-      res.status = SolveStatus::NonFinite;
-      break;
-    }
-    last_finite = rnorm;
-    if (rnorm <= target) {
-      res.converged = true;
-      res.status = SolveStatus::Converged;
-      break;
-    }
-    if (rnorm < 0.999 * best) {
-      best = rnorm;
-      best_it = it;
-    } else if (it - best_it >= opt.stall_window) {
-      res.status = SolveStatus::Stalled;
-      break;  // stagnated at the attainable floor
-    }
-    precond(r, z);
-    const double rz_new = dot(r, z);
-    const double beta = rz_new / rz;
-    rz = rz_new;
-    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-  }
-  // A NonFinite exit leaves rnorm = NaN; report the last finite residual
-  // instead of a value no caller can act on.  (On a Breakdown exit rnorm
-  // is still the previous iteration's finite norm — x was not updated —
-  // so this is the identity there.)
-  res.final_residual = std::isfinite(rnorm) ? rnorm : last_finite;
+  cg.finish();
   obs::record_solve("pcg", res.iterations, res.initial_residual,
                     res.final_residual, to_string(res.status));
   return res;

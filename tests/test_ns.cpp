@@ -191,6 +191,17 @@ TEST(NavierStokes, ScalarIsAdvectedAndDiffused) {
                 decay * std::sin(m.x[i]) * std::sin(m.y[i]), 2e-5);
 }
 
+// EXT convects the velocity components only, so a scalar would get BDF
+// and diffusion but no advection: add_scalar refuses the combination.
+TEST(NavierStokesDeathTest, AddScalarRequiresOifsConvection) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  NsOptions opt;
+  opt.convection = NsOptions::Convection::Ext;
+  Space s = periodic_box(2, 4);
+  NavierStokes ns(s, 0u, opt);
+  EXPECT_DEATH(ns.add_scalar(0u, 0.1), "Convection::Oifs");
+}
+
 TEST(NavierStokes, FilterKeepsSolutionAccurate) {
   // With a smooth solution the alpha = 0.2 filter must not destroy
   // accuracy (Table 1's message: slight degradation only).

@@ -2,6 +2,7 @@
 // filter, and spectrally convergent Poisson solves with Jacobi PCG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -487,6 +488,105 @@ TEST(MultiField, LockstepHelmholtzSolveMatchesPcgOneField) {
 TEST(MultiField, LockstepHelmholtzSolveMatchesPcgThreeFields) {
   check_lockstep_matches_pcg(3, true);
   check_lockstep_matches_pcg(3, false);
+}
+
+// Inputs for the commit-contract cases: three fields of one operator, each
+// with a warm start that differs from its solution.
+struct LockstepCase {
+  Space s = make_box_space_2d(3, 6);
+  tsem::HelmholtzOp A{s, 0.01, 25.0, s.make_mask(0xF)};
+  std::vector<std::vector<double>> bc, rhs, guess;
+
+  LockstepCase() {
+    const auto& m = s.mesh();
+    for (int f = 0; f < 3; ++f) {
+      bc.emplace_back(s.nlocal(), 0.0);
+      rhs.push_back(wave_field(m, f));
+      for (std::size_t i = 0; i < s.nlocal(); ++i) rhs[f][i] *= m.bm[i];
+      guess.push_back(wave_field(m, f + 3));
+    }
+  }
+
+  /// helmholtz_solve_multi over all three fields, starting from `guess`.
+  int solve(std::vector<std::vector<double>>& u, tsem::CgResult* res,
+            const tsem::HelmholtzSolveOptions& opt, bool maxiter_is_failure) {
+    u = guess;
+    const std::vector<double>* bcp[3];
+    const std::vector<double>* rp[3];
+    std::vector<double>* up[3];
+    for (int f = 0; f < 3; ++f) {
+      bcp[f] = &bc[f];
+      rp[f] = &rhs[f];
+      up[f] = &u[f];
+    }
+    tsem::TensorWork work;
+    return tsem::helmholtz_solve_multi(A, bcp, rp, up, 3, opt, work, nullptr,
+                                       res, maxiter_is_failure);
+  }
+};
+
+// A poisoned field stops the commit: the fields before it are committed
+// exactly as one pcg() each would leave them, the poisoned field keeps the
+// caller's data, and the fields after it are not touched.
+TEST(MultiField, LockstepSolveStopsCommitAtNonFiniteField) {
+  LockstepCase c;
+  c.rhs[1][c.s.nlocal() / 2] = std::nan("");
+  tsem::HelmholtzSolveOptions opt;
+  opt.tol = 1e-10;
+
+  std::vector<double> uref = c.guess[0];
+  const auto rref = reference_solve(c.A, c.bc[0], c.rhs[0], uref, opt);
+  std::vector<std::vector<double>> u;
+  tsem::CgResult res[3];
+  EXPECT_EQ(c.solve(u, res, opt, false), 1);
+
+  EXPECT_EQ(res[0].status, tsem::SolveStatus::Converged);
+  EXPECT_EQ(res[0].iterations, rref.iterations);
+  EXPECT_EQ(res[0].final_residual, rref.final_residual);
+  EXPECT_EQ(res[1].status, tsem::SolveStatus::NonFinite);
+  EXPECT_EQ(res[1].iterations, 0);
+  for (std::size_t i = 0; i < c.s.nlocal(); ++i) {
+    ASSERT_EQ(u[0][i], uref[i]) << "entry " << i;
+    ASSERT_EQ(u[1][i], c.guess[1][i]) << "entry " << i;
+    ASSERT_EQ(u[2][i], c.guess[2][i]) << "entry " << i;
+  }
+}
+
+// With maxiter_is_failure a field that runs out of iterations is the first
+// failure: it is committed (its iterate is the best available), like every
+// field before it, and the fields after it are not touched.
+TEST(MultiField, LockstepSolveStopsCommitAtMaxIterField) {
+  LockstepCase c;
+  // Field 0 starts at its exact solution (zero rhs, zero guess), so it
+  // converges in setup; field 1 needs far more than max_iter iterations.
+  std::fill(c.rhs[0].begin(), c.rhs[0].end(), 0.0);
+  std::fill(c.guess[0].begin(), c.guess[0].end(), 0.0);
+  tsem::HelmholtzSolveOptions opt;
+  opt.tol = 1e-10;
+  opt.max_iter = 3;
+
+  std::vector<double> uref0 = c.guess[0], uref1 = c.guess[1];
+  const auto rref0 = reference_solve(c.A, c.bc[0], c.rhs[0], uref0, opt);
+  const auto rref1 = reference_solve(c.A, c.bc[1], c.rhs[1], uref1, opt);
+  ASSERT_EQ(rref0.status, tsem::SolveStatus::Converged);
+  ASSERT_EQ(rref1.status, tsem::SolveStatus::MaxIter);
+  std::vector<std::vector<double>> u;
+  tsem::CgResult res[3];
+  EXPECT_EQ(c.solve(u, res, opt, true), 1);
+
+  EXPECT_EQ(res[0].status, tsem::SolveStatus::Converged);
+  EXPECT_EQ(res[0].iterations, 0);
+  EXPECT_EQ(res[1].status, tsem::SolveStatus::MaxIter);
+  EXPECT_EQ(res[1].iterations, opt.max_iter);
+  EXPECT_EQ(res[1].final_residual, rref1.final_residual);
+  for (std::size_t i = 0; i < c.s.nlocal(); ++i) {
+    ASSERT_EQ(u[0][i], uref0[i]) << "entry " << i;
+    ASSERT_EQ(u[1][i], uref1[i]) << "entry " << i;
+    ASSERT_EQ(u[2][i], c.guess[2][i]) << "entry " << i;
+  }
+  // Without the flag MaxIter is not a failure: every field is committed.
+  EXPECT_EQ(c.solve(u, res, opt, false), 3);
+  EXPECT_NE(u[2], c.guess[2]);
 }
 
 }  // namespace
